@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, load_scenario
-from .controllers import learnable_parameter_count
+from .controllers import ParameterEstimates, learnable_parameter_count
 from .core import ConvergenceError
 from .node import ACTION_ON, N_ACTIONS, NodeState, build_mdp, floor_frames, stm_nonzeros
 from .sim import (
@@ -196,8 +196,13 @@ def _cmd_power(args):
         )
         shown = "none" if period is None else f"{period:.6g}"
         print(f"crossover {a} vs {b}: period_s={shown}")
-    counts = learnable_parameter_count("ql", 66, 2), learnable_parameter_count(
-        "structured", 66, 2, theta_size=5
+    node = load_scenario().node
+    theta_size = ParameterEstimates.from_config(node).size
+    counts = (
+        learnable_parameter_count("ql", node.n_states, N_ACTIONS),
+        learnable_parameter_count(
+            "structured", node.n_states, N_ACTIONS, theta_size=theta_size
+        ),
     )
     print(f"learned_parameters: ql={counts[0]} structured={counts[1]}")
     return 0

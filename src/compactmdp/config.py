@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .node import NodeConfig, floor_frames
-from .sim import SCHEDULABLE_FIELDS, Scenario, ScheduleChange
+from .sim import SCHEDULABLE_FIELDS, Scenario, ScheduleChange, apply_change
 
 DEFAULT_NAME = "default"
 
@@ -102,7 +102,9 @@ def parse_scenario(text):
                     f"(one of {SCHEDULABLE_FIELDS})"
                 )
             changes.append(
-                ScheduleChange(when, parameter, _parse_value(parameter, value_text.strip(), where))
+                (where, ScheduleChange(
+                    when, parameter, _parse_value(parameter, value_text.strip(), where)
+                ))
             )
             continue
         key, sep, value_text = line.partition("=")
@@ -127,7 +129,17 @@ def parse_scenario(text):
         node.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    scenario = Scenario(node=node, seed=seed, schedule=tuple(changes))
+    # Each change, applied in time order on top of the ones before it, must
+    # leave a valid node, as it will when the simulator applies it.
+    in_force = node
+    for where, change in sorted(changes, key=lambda item: item[1].time):
+        try:
+            in_force = apply_change(in_force, change)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    scenario = Scenario(
+        node=node, seed=seed, schedule=tuple(change for _, change in changes)
+    )
     if duration is not None:
         frames = floor_frames(duration, node.frame_period)
         if frames < 1:

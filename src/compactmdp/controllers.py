@@ -13,11 +13,9 @@ Three policies share one frame-stepped interface (``act`` then ``observe``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DEFAULT_MAX_ITERATIONS
+from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from .node import (
     ACTION_OFF,
     ACTION_ON,
@@ -40,7 +38,6 @@ def td_update(estimate, observation, alpha):
     return estimate * (1.0 - alpha) + observation * alpha
 
 
-@dataclass
 class ParameterEstimates:
     """Runtime estimates of the learnable transition-model parameters.
 
@@ -49,15 +46,16 @@ class ParameterEstimates:
     transition every frame, rows kept stochastic) and the mean attach delay
     ``connect_time_hat`` (updated once per completed attach).  Everything else
     in the model is design-time structure.
+
+    The matrix is kept as rows of Python floats, so the per-frame update is
+    scalar arithmetic; ``sigma_hat`` returns it as a fresh ``(n, n)`` array.
     """
 
-    sigma_hat: np.ndarray
-    connect_time_hat: float
-    alpha: float = 0.1
-    frame_period: float = 0.1
-
-    def __post_init__(self):
-        self.sigma_hat = app_stm(self.sigma_hat).copy()
+    def __init__(self, sigma_hat, connect_time_hat, alpha=0.1, frame_period=0.1):
+        self._rows = app_stm(sigma_hat).tolist()
+        self.connect_time_hat = connect_time_hat
+        self.alpha = alpha
+        self.frame_period = frame_period
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.connect_time_hat < self.frame_period:
@@ -74,16 +72,33 @@ class ParameterEstimates:
         )
 
     @property
+    def sigma_hat(self):
+        """The app-mode transition estimate, as a new ``(n, n)`` array."""
+        return np.array(self._rows)
+
+    @property
     def size(self):
         """Number of learned scalars: every sigma entry plus the attach delay."""
-        return self.sigma_hat.size + 1
+        return len(self._rows) ** 2 + 1
 
     def observe_app_transition(self, prev_mode, next_mode):
-        """Blend the observed one-hot transition into ``sigma_hat``'s row."""
-        row = self.sigma_hat[prev_mode]
-        row *= 1.0 - self.alpha
+        """Blend the observed one-hot transition into ``sigma_hat``'s row.
+
+        The row total is summed left to right, which for rows of fewer than 8
+        modes is bitwise numpy's ``row.sum()`` (numpy sums longer rows
+        pairwise).  The builtin ``sum`` compensates from Python 3.12 on, so
+        it would change the bits.
+        """
+        keep = 1.0 - self.alpha
+        row = self._rows[prev_mode]
+        for j, p in enumerate(row):
+            row[j] = p * keep
         row[next_mode] += self.alpha
-        row /= row.sum()
+        total = 0.0
+        for p in row:
+            total += p
+        for j, p in enumerate(row):
+            row[j] = p / total
 
     def observe_connect_time(self, seconds):
         """Blend one measured attach duration into ``connect_time_hat``."""
@@ -127,7 +142,9 @@ class StructuredController:
     Between solves the controller is a pure table lookup.  On a fixed period
     (including frame 0, using the design-time priors) it rebuilds the MDP from
     the current estimates and runs sparse value iteration.  If a solve fails
-    the previous policy stays in force and ``solver_failed`` is set.
+    (``ValueError`` from the model build, ``ConvergenceError`` from the
+    solver) the previous policy stays in force and ``solver_failed`` is set;
+    any other exception propagates.
     """
 
     def __init__(self, config, solve_period=3600.0, alpha=0.1,
@@ -158,7 +175,7 @@ class StructuredController:
                 rho=self.estimates.rho(),
             )
             result = svi_solve(spec, max_iterations=self.max_iterations)
-        except Exception:
+        except (ValueError, ConvergenceError):
             self.solver_failed = True
             return
         self.policy = result.policy.tolist()

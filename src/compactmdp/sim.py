@@ -20,7 +20,7 @@ implementations break even.
 from __future__ import annotations
 
 import csv
-import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +31,7 @@ from .node import (
     M_CONNECTED,
     M_CONNECTING,
     M_OFF,
+    N_MODEM_STATES,
     SUPPLY_VOLTS,
     NodeConfig,
     NodeState,
@@ -120,6 +121,80 @@ class SimMetrics:
     solver_kernel_ops: int
 
 
+def apply_change(node, change):
+    """``node`` with one schedule change applied, checked by ``NodeConfig.validate``."""
+    return replace(node, **{change.parameter: change.value}).validate()
+
+
+def _environment_steps(config, schedule):
+    """``[(first frame, config in force), ...]`` in time order, from frame 0.
+
+    Each change is applied on top of the ones before it (ties keep their
+    given order) and validated, so a bad value fails here, before frame 0.
+    """
+    steps = [(0, config)]
+    for change in sorted(schedule, key=lambda c: c.time):
+        try:
+            config = apply_change(config, change)
+        except ValueError as exc:
+            raise ValueError(
+                f"schedule change at {change.time:g} s ({change.parameter}): {exc}"
+            ) from exc
+        steps.append((max(0, floor_frames(change.time, config.frame_period)), config))
+    return steps
+
+
+def _exogenous_trace(seed, frames, steps):
+    """The controller-independent part of a run, drawn up front.
+
+    Returns ``(app_path, arrivals)``: ``app_path[f]`` is the app mode during
+    frame ``f`` (``frames + 1`` entries, starting in mode 0) and
+    ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``.
+    Both hold one byte per frame (the path for up to 256 modes).  ``steps``
+    is the environment schedule from :func:`_environment_steps`; only its
+    ``app_transition`` and ``app_packet_prob`` matter here.
+    """
+    ends = [at for at, _ in steps[1:]] + [frames]
+    segments = [
+        (start, min(end, frames), config)
+        for (start, config), end in zip(steps, ends)
+        if start < min(end, frames)
+    ]
+    n_modes = steps[0][1].n_app_modes
+    dtype = np.uint8 if n_modes <= 256 else np.intp
+    rng = np.random.default_rng(seed)
+
+    # Successor of every mode in every frame: one vectorised search per mode
+    # and segment, the same comparisons a per-frame search would make.  The
+    # last cumulative sum is +inf, so a draw beyond a row's rounded total
+    # lands in the last mode.
+    u_mode = rng.random(frames)
+    successor = np.empty((n_modes, frames), dtype=dtype)
+    for start, end, config in segments:
+        cum_sigma = np.cumsum(np.asarray(config.app_transition, dtype=float), axis=1)
+        cum_sigma[:, -1] = np.inf
+        for mode in range(n_modes):
+            successor[mode, start:end] = np.searchsorted(
+                cum_sigma[mode], u_mode[start:end], side="right"
+            )
+    del u_mode  # keeps one float array alive at a time, not two
+
+    path = np.zeros(frames + 1, dtype=dtype)
+    app_path = memoryview(path)
+    next_mode = [memoryview(row) for row in successor]
+    app = 0
+    for frame in range(frames):
+        app = next_mode[app][frame]
+        app_path[frame + 1] = app
+
+    u_arrival = rng.random(frames)
+    arrivals = np.empty(frames, dtype=bool)
+    for start, end, config in segments:
+        packet_prob = np.asarray(config.app_packet_prob, dtype=float)
+        arrivals[start:end] = u_arrival[start:end] < packet_prob[path[start:end]]
+    return app_path, arrivals.tobytes()
+
+
 def simulate(scenario, controller):
     """Run one controller through one scenario; return :class:`SimMetrics`.
 
@@ -127,36 +202,36 @@ def simulate(scenario, controller):
     ``scenario.seed`` and does not depend on the controller's choices, so two
     runs with equal (scenario, controller state, seeds) are bitwise identical,
     and different controllers at the same seed face the same arrival/mode
-    sample path.
+    sample path.  That path (app modes and packet arrivals, under the
+    schedule) is drawn up front, before frame 0, together with the check of
+    every schedule change; the frame loop then only steps the modem and the
+    queue and calls the controller once to ``act`` and once to ``observe``.
     """
     config = scenario.node.validate()
     frames = scenario.duration_frames
     if frames < 1:
         raise ValueError(f"duration_frames must be >= 1, got {frames}")
+    steps = _environment_steps(config, scenario.schedule)
+    app_path, arrivals = _exogenous_trace(scenario.seed, frames, steps)
+
     frame_period = config.frame_period
+    nq = config.queue_states
     cap = config.capacity
     tx_per_frame = config.tx_per_frame
     c1, c2 = config.energy_c1, config.energy_c2
     w_current, w_tx, w_drop = config.reward_weights
     amps = [c * 1e-3 * config.current_scale for c in config.currents_ma]
-    watts = [a * SUPPLY_VOLTS for a in amps]
+    frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
+    # Attach length in frames for the connect_time in force at each step.
+    step_frames = [at for at, _ in steps]
+    attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
+    # The controllers see shared, immutable states indexed by NodeState.flat.
+    states = [NodeState.from_flat(i, nq) for i in range(config.n_states)]
+    act = controller.act
+    observe = controller.observe
 
-    # True environment, then its schedule as {frame: [(parameter, value), ...]}.
-    sigma_true = np.asarray(config.app_transition, dtype=float)
-    packet_prob = list(config.app_packet_prob)
-    connect_time = config.connect_time
-    pending = {}
-    for change in sorted(scenario.schedule, key=lambda c: c.time):
-        at = max(0, floor_frames(change.time, frame_period))
-        pending.setdefault(at, []).append((change.parameter, change.value))
-    cum_sigma = np.cumsum(sigma_true, axis=1)
-
-    # Environment randomness, drawn up front from the scenario seed alone.
-    env_rng = np.random.default_rng(scenario.seed)
-    u_mode = env_rng.random(frames)
-    u_arrival = env_rng.random(frames)
-
-    app = 0
+    app = app_path[0]
+    queue_len = 0
     modem = M_OFF
     queue = deque()
     attach_frames_left = 0
@@ -171,24 +246,14 @@ def simulate(scenario, controller):
     reward_total = 0.0
 
     for frame in range(frames):
-        if frame in pending:
-            for parameter, value in pending[frame]:
-                if parameter == "connect_time":
-                    connect_time = float(value)
-                elif parameter == "app_transition":
-                    sigma_true = np.asarray(value, dtype=float)
-                    cum_sigma = np.cumsum(sigma_true, axis=1)
-                else:
-                    packet_prob = list(value)
-
-        state = NodeState(app, len(queue), modem)
-        action = controller.act(state, frame)
+        state = states[(app * nq + queue_len) * N_MODEM_STATES + modem]
+        action = act(state, frame)
 
         # Modem first: the frame is spent in the state being entered.
         if action == ACTION_ON:
             if modem == M_OFF:
                 modem = M_CONNECTING
-                attach_frames_left = max(1, floor_frames(connect_time, frame_period))
+                attach_frames_left = attach_lengths[bisect_right(step_frames, frame) - 1]
                 transaction_open = True
                 transaction_packets = 0
             elif modem == M_CONNECTING:
@@ -201,37 +266,38 @@ def simulate(scenario, controller):
             transaction_energy += (c1 - c2) + c2 * transaction_packets
             transaction_open = False
 
-        # Application: mode step and packet emission use this frame's mode.
-        arrived = u_arrival[frame] < packet_prob[app]
-        app_next = int(np.searchsorted(cum_sigma[app], u_mode[frame], side="right"))
-
+        # Application: packet emission uses this frame's mode.
         n_tx = 0
         n_drop = 0
         if modem == M_CONNECTED:
-            if arrived:
+            if arrivals[frame]:
                 generated += 1
                 queue.append(frame)
-            n_tx = min(len(queue), tx_per_frame)
+                queue_len += 1
+            n_tx = min(queue_len, tx_per_frame)
             for _ in range(n_tx):
                 latency_frames += frame - queue.popleft()
+            queue_len -= n_tx
             transmitted += n_tx
             transaction_packets += n_tx
-        elif arrived:
+        elif arrivals[frame]:
             generated += 1
-            if len(queue) < cap:
+            if queue_len < cap:
                 queue.append(frame)
+                queue_len += 1
             else:
                 dropped += 1
                 n_drop = 1
 
-        current_energy += watts[modem] * frame_period
+        current_energy += frame_energy[modem]
         frame_reward = w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
         reward_total += frame_reward
 
-        controller.observe(
-            state, action, frame_reward, NodeState(app_next, len(queue), modem), frame
+        app = app_path[frame + 1]
+        observe(
+            state, action, frame_reward,
+            states[(app * nq + queue_len) * N_MODEM_STATES + modem], frame,
         )
-        app = app_next
 
     if transaction_open:
         transactions += 1
@@ -248,7 +314,7 @@ def simulate(scenario, controller):
         packets_generated=generated,
         packets_transmitted=transmitted,
         packets_dropped=dropped,
-        packets_queued_at_end=len(queue),
+        packets_queued_at_end=queue_len,
         avg_latency=avg_latency,
         energy_per_packet=energy_per_packet,
         transaction_energy=transaction_energy,
@@ -270,7 +336,13 @@ def make_controller(series, config, value, seed=None, alpha=0.1, epsilon=0.05,
     config's middle reward weight is replaced by ``value``).
     """
     if series == "on-off":
-        return ThresholdController(int(value)), config
+        threshold = int(value)
+        if threshold > config.capacity:
+            raise ValueError(
+                f"queue threshold {threshold} is above the queue capacity "
+                f"{config.capacity}; the modem would never connect"
+            )
+        return ThresholdController(threshold), config
     w1, _, w3 = config.reward_weights
     tuned = replace(config, reward_weights=(w1, float(value), w3))
     if series == "mdp":

@@ -148,6 +148,23 @@ class TestErrorHandling:
         assert code == 1
         assert "discount" in err
 
+    def test_threshold_above_capacity_is_a_clean_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--methods", "on-off", "--nq-values", "50",
+            "--seeds", "1", "--duration", "30",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "capacity" in err
+
+    def test_invalid_schedule_value_is_a_clean_failure(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = 1\nat 10 set app_packet_prob = 0.5\n")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
+        assert code == 1
+        assert err.startswith("error: line 2:")
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

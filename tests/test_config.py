@@ -95,6 +95,26 @@ class TestParseScenario:
         with pytest.raises(ConfigError):
             parse_scenario("app_transition = 0.9 0.2 ; 0.3 0.7\n")
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("at 10 set app_packet_prob = 0.5", "does not match 1 modes"),
+            ("at 10 set app_transition = 0.5 0.9 ; 0.5 0.5", "do not sum to 1"),
+            ("at 20 set connect_time = 0.01", "shorter than one frame"),
+        ],
+    )
+    def test_invalid_schedule_value_fails_with_line_number(self, line, problem):
+        with pytest.raises(ConfigError, match=f"line 2: .*{problem}"):
+            parse_scenario(f"seed = 1\n{line}\n")
+
+    def test_schedule_changes_are_checked_in_time_order(self):
+        # Three modes arrive in two steps; each step must be valid once the
+        # earlier ones (by time, not by line) are in force.
+        three_modes = "at 10 set app_transition = 0.4 0.3 0.3 ; 0.3 0.4 0.3 ; 0.3 0.3 0.4"
+        text = f"at 20 set app_packet_prob = 0.1 0.2 0.3\n{three_modes}\n"
+        with pytest.raises(ConfigError, match="line 2: .*does not match 2 modes"):
+            parse_scenario(text)
+
     def test_sub_frame_duration(self):
         with pytest.raises(ConfigError, match="duration"):
             parse_scenario("duration = 0.01\n")

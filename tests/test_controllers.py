@@ -21,6 +21,7 @@ from compactmdp import (
     learnable_parameter_count,
     td_update,
 )
+from compactmdp.core import ConvergenceError
 from compactmdp.solver import svi_solve
 
 
@@ -211,13 +212,24 @@ class TestStructuredController:
         assert not controller.solver_failed
 
         def boom(spec, max_iterations):
-            raise RuntimeError("no convergence today")
+            raise ConvergenceError("no convergence today", None, max_iterations)
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         controller.act(s, frame=controller.solve_period_frames)
         assert controller.solver_failed
         assert controller.policy == good
         assert controller.solve_count == 1
+
+    def test_other_solver_errors_propagate(self, monkeypatch):
+        controller = StructuredController(NodeConfig(), solve_period=1.0)
+
+        def bug(spec, max_iterations):
+            raise TypeError("a bug, not a failed solve")
+
+        monkeypatch.setattr(controllers, "svi_solve", bug)
+        with pytest.raises(TypeError):
+            controller.act(NodeState(0, 0, M_OFF), frame=0)
+        assert not controller.solver_failed
 
     def test_rejects_sub_frame_solve_period(self):
         with pytest.raises(ValueError):

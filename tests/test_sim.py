@@ -156,6 +156,25 @@ class TestSchedule:
         stepped = run(ThresholdController(1), frames=20000, schedule=(slow,))
         assert stepped.avg_latency > base.avg_latency
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (ScheduleChange(10.0, "app_packet_prob", (0.5,)), "does not match 1 modes"),
+            (
+                ScheduleChange(10.0, "app_transition", ((0.5, 0.9), (0.5, 0.5))),
+                "do not sum to 1",
+            ),
+            (ScheduleChange(20.0, "connect_time", 0.01), "shorter than one frame"),
+        ],
+    )
+    def test_invalid_change_fails_before_frame_zero(self, change, problem):
+        class Untouched:
+            def act(self, state, frame=0):
+                raise AssertionError("the run started")
+
+        with pytest.raises(ValueError, match=f"schedule change at .*{problem}"):
+            run(Untouched(), frames=1000, schedule=(change,))
+
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             ScheduleChange(10.0, "frame_period", 0.2)
@@ -179,6 +198,12 @@ class TestMakeController:
         a, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
         b, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert [a.act(state) for _ in range(20)] == [b.act(state) for _ in range(20)]
+
+    def test_threshold_above_capacity_is_refused(self):
+        controller, _ = make_controller("on-off", NodeConfig(), 10)
+        assert controller.queue_threshold == NodeConfig().capacity
+        with pytest.raises(ValueError, match="above the queue capacity 10"):
+            make_controller("on-off", NodeConfig(), 11)
 
     def test_unknown_series(self):
         with pytest.raises(ValueError):
