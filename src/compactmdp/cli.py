@@ -125,9 +125,10 @@ def _cmd_simulate(args):
         f"modem_current_energy_j={metrics.modem_current_energy:.6g}"
     )
     print(f"reward_total={metrics.reward_total:.6g}")
-    if metrics.solver_invocations:
+    if args.method == "mdp":
         print(
             f"solves={metrics.solver_invocations} "
+            f"solver_failures={controller.solver_failures} "
             f"solver_macs={metrics.solver_kernel_ops}"
         )
     return 0

@@ -18,6 +18,7 @@ loudly.  The packaged ``default_scenario.cfg`` documents every key and is what
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -95,6 +96,8 @@ def parse_scenario(text):
                 when = float(parts[1])
             except ValueError as exc:
                 raise ConfigError(f"{where}: bad time {parts[1]!r}") from exc
+            if not math.isfinite(when):
+                raise ConfigError(f"{where}: bad time {parts[1]!r}")
             parameter = parts[3]
             if parameter not in SCHEDULABLE_FIELDS:
                 raise ConfigError(
@@ -141,6 +144,8 @@ def parse_scenario(text):
         node=node, seed=seed, schedule=tuple(change for _, change in changes)
     )
     if duration is not None:
+        if not math.isfinite(duration):
+            raise ConfigError(f"duration {duration} is not finite")
         frames = floor_frames(duration, node.frame_period)
         if frames < 1:
             raise ConfigError(f"duration {duration} is shorter than one frame")

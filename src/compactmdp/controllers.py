@@ -23,7 +23,7 @@ from .node import (
     M_CONNECTING,
     M_OFF,
     N_ACTIONS,
-    app_stm,
+    app_transition_problems,
     build_mdp,
     floor_frames,
     rho_from_connect_time,
@@ -52,7 +52,9 @@ class ParameterEstimates:
     """
 
     def __init__(self, sigma_hat, connect_time_hat, alpha=0.1, frame_period=0.1):
-        self._rows = app_stm(sigma_hat).tolist()
+        if problems := app_transition_problems(sigma_hat, len(sigma_hat)):
+            raise ValueError("invalid sigma_hat: " + "; ".join(problems))
+        self._rows = np.asarray(sigma_hat, dtype=float).tolist()
         self.connect_time_hat = connect_time_hat
         self.alpha = alpha
         self.frame_period = frame_period
@@ -143,8 +145,9 @@ class StructuredController:
     (including frame 0, using the design-time priors) it rebuilds the MDP from
     the current estimates and runs sparse value iteration.  If a solve fails
     (``ValueError`` from the model build, ``ConvergenceError`` from the
-    solver) the previous policy stays in force and ``solver_failed`` is set;
-    any other exception propagates.
+    solver) the previous policy stays in force and ``solver_failures`` counts
+    it; any other exception propagates.  ``solve_count`` counts the solves
+    that succeeded.
     """
 
     def __init__(self, config, solve_period=3600.0, alpha=0.1,
@@ -161,7 +164,7 @@ class StructuredController:
         self.solve_count = 0
         self.total_kernel_ops = 0
         self.last_result = None
-        self.solver_failed = False
+        self.solver_failures = 0
         self._queue_states = config.queue_states
         self._next_solve_frame = 0
         self._connecting_frames = 0
@@ -176,7 +179,7 @@ class StructuredController:
             )
             result = svi_solve(spec, max_iterations=self.max_iterations)
         except (ValueError, ConvergenceError):
-            self.solver_failed = True
+            self.solver_failures += 1
             return
         self.policy = result.policy.tolist()
         self.last_result = result
@@ -216,7 +219,7 @@ class QLearningController:
     """
 
     def __init__(self, config, alpha=0.1, epsilon=0.05, discount=0.95,
-                 epsilon_decay=1.0, seed=None, rng=None):
+                 epsilon_decay=1.0, seed=None):
         config.validate()
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -231,7 +234,7 @@ class QLearningController:
         self.epsilon = epsilon
         self.discount = discount
         self.epsilon_decay = epsilon_decay
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
         self.q = [0.0] * (self.n_states * N_ACTIONS)
         self.last_explored = False

@@ -129,38 +129,45 @@ class ViolationReport:
     messages: list = field(default_factory=list)
 
 
+def stochastic_problems(matrix, name):
+    """Why the 2-D ``matrix`` is not row-stochastic, one message per fault; ``[]`` if it is.
+
+    The faults are non-finite entries (reported alone), negative entries, and
+    row sums off 1 by more than ``ROW_SUM_TOLERANCE``.  Nothing is repaired.
+    """
+    non_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if non_finite.size:
+        return [f"{name} has non-finite entries in rows {non_finite.tolist()}"]
+    messages = []
+    negative = np.flatnonzero((matrix < 0.0).any(axis=1))
+    if negative.size:
+        messages.append(f"{name} has negative entries in rows {negative.tolist()}")
+    row_sums = matrix.sum(axis=1)
+    off = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
+    if off.size:
+        sums = (f"row {r} sums to {t!r}" for r, t in zip(off.tolist(), row_sums[off].tolist()))
+        messages.append(
+            f"{name} rows {off.tolist()} do not sum to 1 within {ROW_SUM_TOLERANCE}: "
+            + ", ".join(sums)
+        )
+    return messages
+
+
 def validate(spec):
     """Check an :class:`MdpSpec` for structural problems.
 
-    Reports every stacked row whose transition mass deviates from 1 by more
-    than ``ROW_SUM_TOLERANCE``, any negative transition entry, and NaNs in
-    either the transition matrix or the reward vector.  Nothing is repaired;
-    the report is purely diagnostic.
+    Reports non-finite rewards and the :func:`stochastic_problems` of the
+    transition matrix.  The report is purely diagnostic.
 
     Returns
     -------
     ViolationReport
     """
     messages = []
-    if np.isnan(spec.rewards).any():
-        bad = np.flatnonzero(np.isnan(spec.rewards))
-        messages.append(f"rewards contain NaN at rows {bad.tolist()}")
-    if np.isnan(spec.transitions).any():
-        rows = np.unique(np.nonzero(np.isnan(spec.transitions))[0])
-        messages.append(f"transitions contain NaN in rows {rows.tolist()}")
-    else:
-        neg_rows = np.unique(np.nonzero(spec.transitions < 0.0)[0])
-        if neg_rows.size:
-            messages.append(
-                f"transitions contain negative entries in rows {neg_rows.tolist()}"
-            )
-        row_sums = spec.transitions.sum(axis=1)
-        off = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
-        for row in off.tolist():
-            messages.append(
-                f"row {row} sums to {row_sums[row]!r}, expected 1 "
-                f"within {ROW_SUM_TOLERANCE}"
-            )
+    bad = np.flatnonzero(~np.isfinite(spec.rewards))
+    if bad.size:
+        messages.append(f"rewards are not finite at rows {bad.tolist()}")
+    messages += stochastic_problems(spec.transitions, "transitions")
     return ViolationReport(ok=not messages, messages=messages)
 
 

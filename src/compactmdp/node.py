@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MdpSpec, flat_index
+from .core import MdpSpec, stochastic_problems
 
 # Modem states.
 M_OFF, M_CONNECTING, M_CONNECTED = 0, 1, 2
@@ -49,8 +49,10 @@ _FLOOR_GUARD = 1e-9
 
 def floor_frames(seconds, frame_period):
     """Whole frames contained in ``seconds``, guarded against float dust."""
-    if frame_period <= 0:
-        raise ValueError(f"frame_period must be > 0, got {frame_period}")
+    if not 0.0 < frame_period < math.inf:
+        raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
+    if not math.isfinite(seconds):
+        raise ValueError(f"a duration must be finite, got {seconds} s")
     return int(math.floor(seconds / frame_period + _FLOOR_GUARD))
 
 
@@ -147,60 +149,49 @@ class NodeConfig:
         return self.n_app_modes * self.queue_states * N_MODEM_STATES
 
     def validate(self):
-        """Raise ``ValueError`` listing every structural problem."""
+        """Raise ``ValueError`` listing every problem; every float must be finite."""
         problems = []
-        if self.queue_states < 2:
+        if not 2 <= self.queue_states:
             problems.append(f"queue_states must be >= 2, got {self.queue_states}")
-        if self.n_app_modes < 1:
+        if not 1 <= self.n_app_modes:
             problems.append("app_packet_prob must name at least one mode")
-        sigma = np.asarray(self.app_transition, dtype=float)
-        if sigma.shape != (self.n_app_modes, self.n_app_modes):
-            problems.append(
-                f"app_transition shape {sigma.shape} does not match "
-                f"{self.n_app_modes} modes"
-            )
-        else:
-            if (sigma < 0).any():
-                problems.append("app_transition has negative entries")
-            bad = np.flatnonzero(np.abs(sigma.sum(axis=1) - 1.0) > 1e-9)
-            if bad.size:
-                problems.append(f"app_transition rows {bad.tolist()} do not sum to 1")
+        problems += app_transition_problems(self.app_transition, self.n_app_modes)
         for i, p in enumerate(self.app_packet_prob):
             if not 0.0 <= p <= 1.0:
                 problems.append(f"app_packet_prob[{i}]={p} outside [0, 1]")
-        if self.frame_period <= 0:
-            problems.append(f"frame_period must be > 0, got {self.frame_period}")
-        elif self.connect_time < self.frame_period:
+        if not 0.0 < self.frame_period < math.inf:
+            problems.append(f"frame_period must be finite and > 0, got {self.frame_period}")
+        elif not self.frame_period <= self.connect_time < math.inf:
             problems.append(
-                f"connect_time {self.connect_time} shorter than one frame"
+                f"connect_time {self.connect_time} infinite or shorter than one frame"
             )
         if len(self.currents_ma) != N_MODEM_STATES:
             problems.append("currents_ma must give one value per modem state")
-        elif any(c < 0 for c in self.currents_ma):
-            problems.append("currents_ma must be non-negative")
-        if self.tx_per_frame < 1:
+        elif not all(0.0 <= c < math.inf for c in self.currents_ma):
+            problems.append(f"currents_ma must be finite and >= 0, got {self.currents_ma}")
+        if not 0.0 <= self.current_scale < math.inf:
+            problems.append(f"current_scale must be finite and >= 0, got {self.current_scale}")
+        if not 1 <= self.tx_per_frame:
             problems.append(f"tx_per_frame must be >= 1, got {self.tx_per_frame}")
         if len(self.reward_weights) != 3:
             problems.append("reward_weights must be (current, tx, drop)")
+        if not all(map(math.isfinite, (*self.reward_weights, self.energy_c1, self.energy_c2))):
+            problems.append("reward_weights, energy_c1 and energy_c2 must be finite")
         if not 0.0 <= self.discount < 1.0:
             problems.append(f"discount must be in [0, 1), got {self.discount}")
-        if self.tolerance <= 0:
-            problems.append(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            problems.append(f"tolerance must be finite and > 0, got {self.tolerance}")
         if problems:
             raise ValueError("invalid node config: " + "; ".join(problems))
         return self
 
 
-def app_stm(sigma):
-    """Validate and return the application-mode transition matrix."""
+def app_transition_problems(sigma, n_modes):
+    """Why ``sigma`` is not an ``n_modes``-square stochastic matrix, as messages."""
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"app transition matrix must be square, got {sigma.shape}")
-    if (sigma < 0).any():
-        raise ValueError("app transition matrix has negative entries")
-    if np.abs(sigma.sum(axis=1) - 1.0).max() > 1e-9:
-        raise ValueError("app transition matrix rows must sum to 1")
-    return sigma
+    if sigma.shape != (n_modes, n_modes):
+        return [f"app_transition shape {sigma.shape} does not match {n_modes} modes"]
+    return stochastic_problems(sigma, "app_transition")
 
 
 def modem_stm(rho):
@@ -234,18 +225,13 @@ def queue_stm(config, modem_next):
     disconnected frame only absorbs the arrival, saturating at capacity (the
     overflow arrival is dropped, not stored).
     """
-    nq = config.queue_states
-    cap = config.capacity
     drain = config.tx_per_frame if modem_next == M_CONNECTED else 0
-    out = np.zeros((config.n_app_modes, nq, nq))
-    for mode, p in enumerate(config.app_packet_prob):
-        for q in range(nq):
-            if drain:
-                out[mode, q, max(q - drain, 0)] += 1.0 - p
-                out[mode, q, max(q + 1 - drain, 0)] += p
-            else:
-                out[mode, q, q] += 1.0 - p
-                out[mode, q, min(q + 1, cap)] += p
+    p = np.array(config.app_packet_prob, dtype=float)[:, None]
+    q = np.arange(config.queue_states)
+    out = np.zeros((config.n_app_modes, q.size, q.size))
+    # Where both outcomes land in one cell it holds (1 - p) + p, added in that order.
+    out[:, q, np.maximum(q - drain, 0)] += 1.0 - p
+    out[:, q, np.minimum(np.maximum(q + 1 - drain, 0), config.capacity)] += p
     return out
 
 
@@ -276,11 +262,11 @@ def assemble_stm(config, sigma=None, rho=None):
     ndarray, shape (n_states * 2, n_states)
     """
     config.validate()
-    sigma = app_stm(config.app_transition if sigma is None else sigma)
-    if sigma.shape[0] != config.n_app_modes:
-        raise ValueError(
-            f"sigma has {sigma.shape[0]} modes, config has {config.n_app_modes}"
-        )
+    if sigma is None:
+        sigma = config.app_transition
+    elif problems := app_transition_problems(sigma, config.n_app_modes):
+        raise ValueError("invalid sigma override: " + "; ".join(problems))
+    sigma = np.asarray(sigma, dtype=float)
     if rho is None:
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
     modem = modem_stm(rho)
@@ -313,12 +299,14 @@ def reward(current, packets_tx, packets_dropped, weights):
     return w_current * current + w_tx * packets_tx + w_drop * packets_dropped
 
 
-def reward_vector(config, sigma=None, rho=None):
+def reward_vector(config, rho=None):
     """Expected per-frame reward for every (state, action) row.
 
     Uses the same frame semantics as :func:`assemble_stm`: the modem advances
     first, so current draw, transmissions, and drops are all expectations over
-    the successor modem state.
+    the successor modem state.  The current and connection terms depend on
+    (action, modem), the delivery and drop terms on (mode, queue); one
+    broadcast over (action, mode, queue, modem) combines them.
 
     Returns
     -------
@@ -328,31 +316,24 @@ def reward_vector(config, sigma=None, rho=None):
     if rho is None:
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
     modem = modem_stm(rho)
-    amps = [c * 1e-3 * config.current_scale for c in config.currents_ma]
+    amps = np.array([c * 1e-3 * config.current_scale for c in config.currents_ma])
     w_current, w_tx, w_drop = config.reward_weights
-    nq = config.queue_states
-    cap = config.capacity
+    # [action, 1, 1, modem]: one dot product per modem row, because a batched
+    # matmul may round the three-term sums differently.
+    current = np.array([[dist @ amps for dist in rows] for rows in modem])[:, None, None, :]
+    p_conn = modem[:, None, None, :, M_CONNECTED]
+    # [mode, queue]: a connected frame enqueues the arrival, then drains.
+    p = np.array(config.app_packet_prob, dtype=float)[:, None]
+    q = np.arange(config.queue_states)
     tx = config.tx_per_frame
-
-    out = np.empty(N_ACTIONS * config.n_states)
-    for action in range(N_ACTIONS):
-        for mode, p in enumerate(config.app_packet_prob):
-            for q in range(nq):
-                # Expected deliveries in a connected frame (arrival joins the
-                # queue before the drain).
-                tx_if_connected = (1.0 - p) * min(q, tx) + p * min(q + 1, tx)
-                drop_if_blocked = p if q == cap else 0.0
-                for m in range(N_MODEM_STATES):
-                    dist = modem[action][m]
-                    p_conn = dist[M_CONNECTED]
-                    value = (
-                        w_current * float(dist @ amps)
-                        + w_tx * p_conn * tx_if_connected
-                        + w_drop * (1.0 - p_conn) * drop_if_blocked
-                    )
-                    state = NodeState(mode, q, m).flat(nq)
-                    out[flat_index(state, action, config.n_states)] = value
-    return out
+    tx_if_connected = (1.0 - p) * np.minimum(q, tx) + p * np.minimum(q + 1, tx)
+    drop_if_blocked = np.where(q == config.capacity, p, 0.0)
+    value = (
+        w_current * current
+        + w_tx * p_conn * tx_if_connected[:, :, None]
+        + w_drop * (1.0 - p_conn) * drop_if_blocked[:, :, None]
+    )
+    return value.reshape(-1)
 
 
 def build_mdp(config, sigma=None, rho=None):
@@ -360,7 +341,7 @@ def build_mdp(config, sigma=None, rho=None):
     return MdpSpec(
         n_states=config.n_states,
         n_actions=N_ACTIONS,
-        rewards=reward_vector(config, sigma=sigma, rho=rho),
+        rewards=reward_vector(config, rho=rho),
         transitions=assemble_stm(config, sigma=sigma, rho=rho),
         discount=config.discount,
         tolerance=config.tolerance,

@@ -68,7 +68,7 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Raises
     ------
     ValueError
-        If the spec fails row-stochasticity/NaN validation.
+        If the spec fails :func:`~compactmdp.core.validate`.
     """
     report = validate(spec)
     if not report.ok:

@@ -5,7 +5,9 @@ import subprocess
 
 import pytest
 
+import compactmdp.controllers as controllers
 from compactmdp.cli import main
+from compactmdp.core import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -51,8 +53,16 @@ class TestSimulate:
     def test_planner_run_reports_solver_work(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--method", "mdp", "--duration", "20")
         assert code == 0
-        assert "solves=1 " in out
-        assert "solver_macs=" in out
+        assert "solves=1 solver_failures=0 solver_macs=" in out
+
+    def test_planner_run_reports_failed_solves(self, capsys, monkeypatch):
+        def boom(spec, max_iterations):
+            raise ConvergenceError("no convergence today", None, max_iterations)
+
+        monkeypatch.setattr(controllers, "svi_solve", boom)
+        code, out, _ = run_cli(capsys, "simulate", "--method", "mdp", "--duration", "20")
+        assert code == 0
+        assert "solves=0 solver_failures=1 solver_macs=0" in out
 
     def test_seed_override_changes_the_run(self, capsys):
         argv = ("simulate", "--method", "on-off", "--duration", "100")
@@ -164,6 +174,22 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
         assert code == 1
         assert err.startswith("error: line 2:")
+
+    def test_non_finite_app_transition_is_a_clean_failure(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("app_transition = nan nan ; 0.5 0.5\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "mdp", "--config", str(bad)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "non-finite" in err
+
+    def test_non_finite_duration_is_a_clean_failure(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--duration", "inf")
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

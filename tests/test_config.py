@@ -107,6 +107,45 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match=f"line 2: .*{problem}"):
             parse_scenario(f"seed = 1\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "tolerance = nan",
+            "tolerance = inf",
+            "frame_period = nan",
+            "connect_time = nan",
+            "connect_time = inf",
+            "currents_ma = 0 nan 1",
+            "current_scale = nan",
+            "current_scale = -1",
+            "energy_c1 = inf",
+            "reward_weights = -10 nan -100",
+            "app_packet_prob = nan 1.0",
+            "app_transition = nan nan ; 0.5 0.5",
+        ],
+    )
+    def test_non_finite_or_negative_node_value_is_rejected(self, line):
+        with pytest.raises(ConfigError, match="invalid node config"):
+            parse_scenario(f"seed = 1\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "at 10 set tolerance = nan",
+            "at 10 set frame_period = nan",
+            "at 10 set connect_time = nan",
+            "at 10 set connect_time = inf",
+            "at 10 set currents_ma = 0 nan 1",
+            "at 10 set app_packet_prob = nan 1.0",
+            "at 10 set app_transition = nan nan ; 0.5 0.5",
+            "at nan set connect_time = 3.0",
+            "at inf set connect_time = 3.0",
+        ],
+    )
+    def test_non_finite_schedule_line_fails_with_line_number(self, line):
+        with pytest.raises(ConfigError, match="line 2: "):
+            parse_scenario(f"seed = 1\n{line}\n")
+
     def test_schedule_changes_are_checked_in_time_order(self):
         # Three modes arrive in two steps; each step must be valid once the
         # earlier ones (by time, not by line) are in force.
@@ -118,6 +157,11 @@ class TestParseScenario:
     def test_sub_frame_duration(self):
         with pytest.raises(ConfigError, match="duration"):
             parse_scenario("duration = 0.01\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration(self, value):
+        with pytest.raises(ConfigError, match="duration .* not finite"):
+            parse_scenario(f"duration = {value}\n")
 
 
 class TestLoadScenario:

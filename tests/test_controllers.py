@@ -209,15 +209,18 @@ class TestStructuredController:
         s = NodeState(0, 0, M_OFF)
         controller.act(s, frame=0)
         good = list(controller.policy)
-        assert not controller.solver_failed
+        assert controller.solver_failures == 0
 
         def boom(spec, max_iterations):
             raise ConvergenceError("no convergence today", None, max_iterations)
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         controller.act(s, frame=controller.solve_period_frames)
-        assert controller.solver_failed
+        assert controller.solver_failures == 1
         assert controller.policy == good
+        assert controller.solve_count == 1
+        controller.act(s, frame=2 * controller.solve_period_frames)
+        assert controller.solver_failures == 2
         assert controller.solve_count == 1
 
     def test_other_solver_errors_propagate(self, monkeypatch):
@@ -229,7 +232,7 @@ class TestStructuredController:
         monkeypatch.setattr(controllers, "svi_solve", bug)
         with pytest.raises(TypeError):
             controller.act(NodeState(0, 0, M_OFF), frame=0)
-        assert not controller.solver_failed
+        assert controller.solver_failures == 0
 
     def test_rejects_sub_frame_solve_period(self):
         with pytest.raises(ValueError):

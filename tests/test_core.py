@@ -139,6 +139,14 @@ class TestValidate:
         bad = np.array([[np.nan, 0.5], [0.0, 1.0]])
         assert not validate(MdpSpec(2, 1, np.zeros(2), bad)).ok
 
+    def test_reports_infinite_entries(self):
+        bad = np.array([[1.0, 0.0], [np.inf, -np.inf]])
+        report = validate(MdpSpec(2, 1, np.array([np.inf, 0.0]), bad))
+        assert report.messages == [
+            "rewards are not finite at rows [0]",
+            "transitions has non-finite entries in rows [1]",
+        ]
+
 
 class TestMdpSpecConstruction:
     def test_shape_mismatch_rejected(self):

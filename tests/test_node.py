@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from compactmdp import (
@@ -10,6 +12,7 @@ from compactmdp import (
     M_OFF,
     NodeConfig,
     NodeState,
+    ParameterEstimates,
     assemble_stm,
     build_mdp,
     energy_per_transaction,
@@ -18,10 +21,10 @@ from compactmdp import (
     stm_nonzeros,
     validate,
 )
+from compactmdp.core import stochastic_problems
 from compactmdp.node import (
     ACTION_OFF,
     ACTION_ON,
-    app_stm,
     floor_frames,
     modem_stm,
     queue_stm,
@@ -84,22 +87,49 @@ class TestModemFactor:
             modem_stm(rho)
 
 
+def app_matrix_entry_points(sigma):
+    """Each way an app-mode transition matrix enters the model, as a callable:
+    the config, the sigma override of ``assemble_stm`` and the planner's estimate."""
+    return [
+        lambda: NodeConfig(app_transition=sigma).validate(),
+        lambda: assemble_stm(NodeConfig(), sigma=sigma),
+        lambda: ParameterEstimates(sigma, connect_time_hat=2.0),
+    ]
+
+
 class TestAppFactor:
+    """The one stochastic-matrix rule, through each entry point."""
+
+    def assert_rejected(self, sigma, problem):
+        for enter in app_matrix_entry_points(sigma):
+            with pytest.raises(ValueError, match=problem):
+                enter()
+
     def test_accepts_and_returns_matrix(self):
-        sigma = app_stm([[0.9, 0.1], [0.2, 0.8]])
-        assert_allclose(sigma, [[0.9, 0.1], [0.2, 0.8]])
+        sigma = [[0.9, 0.1], [0.2, 0.8]]
+        config = NodeConfig(app_transition=((0.9, 0.1), (0.2, 0.8)))
+        assert config.validate() is config
+        assert_array_equal(assemble_stm(NodeConfig(), sigma=sigma), assemble_stm(config))
+        assert_allclose(ParameterEstimates(sigma, connect_time_hat=2.0).sigma_hat, sigma)
 
     def test_rejects_non_stochastic_rows(self):
-        with pytest.raises(ValueError):
-            app_stm([[0.9, 0.2], [0.2, 0.8]])
+        self.assert_rejected([[0.9, 0.2], [0.2, 0.8]], r"rows \[0\] do not sum to 1")
 
     def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            app_stm([[1.1, -0.1], [0.0, 1.0]])
+        self.assert_rejected([[1.1, -0.1], [0.0, 1.0]], r"negative entries in rows \[0\]")
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            app_stm([[1.0, 0.0]])
+        self.assert_rejected([[1.0, 0.0]], "does not match")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        self.assert_rejected([[bad, bad], [0.5, 0.5]], r"non-finite entries in rows \[0\]")
+
+    def test_shared_rule_reports_each_fault(self):
+        assert stochastic_problems(np.eye(2), "m") == []
+        (message,) = stochastic_problems(np.array([[0.5, 0.6], [0.0, 1.0]]), "m")
+        assert "m rows [0] do not sum to 1" in message
+        assert "row 0 sums to 1.1" in message
 
 
 class TestQueueFactor:
@@ -257,3 +287,109 @@ class TestNodeConfig:
     def test_validation_rejects(self, overrides):
         with pytest.raises(ValueError):
             NodeConfig(**overrides).validate()
+
+
+def per_cell_stm(config, sigma, rho):
+    """The stacked transition matrix, one (state, action, successor) cell at a time.
+
+    Each cell multiplies the three factors in the order of
+    :func:`assemble_stm`: app mode, then queue given the successor modem,
+    then modem.  The queue moves as one frame does: the arrival (if any)
+    joins, a connected frame drains up to ``tx_per_frame``, and a blocked
+    frame saturates at capacity.
+    """
+    modem = modem_stm(rho)
+    n, nq = config.n_states, config.queue_states
+    out = np.zeros((2 * n, n))
+    for action in (ACTION_OFF, ACTION_ON):
+        for s in range(n):
+            now = NodeState.from_flat(s, nq)
+            p = config.app_packet_prob[now.app_mode]
+            for s2 in range(n):
+                nxt = NodeState.from_flat(s2, nq)
+                drain = config.tx_per_frame if nxt.modem == M_CONNECTED else 0
+                p_queue = 0.0
+                if max(now.queue - drain, 0) == nxt.queue:
+                    p_queue += 1.0 - p
+                if min(max(now.queue + 1 - drain, 0), config.capacity) == nxt.queue:
+                    p_queue += p
+                out[action * n + s, s2] = (
+                    sigma[now.app_mode, nxt.app_mode]
+                    * p_queue
+                    * modem[action][now.modem][nxt.modem]
+                )
+    return out
+
+
+def per_cell_rewards(config, rho):
+    """The reward vector, one (state, action) cell at a time."""
+    modem = modem_stm(rho)
+    amps = np.array([c * 1e-3 * config.current_scale for c in config.currents_ma])
+    w_current, w_tx, w_drop = config.reward_weights
+    n, nq, tx = config.n_states, config.queue_states, config.tx_per_frame
+    out = np.empty(2 * n)
+    for action in (ACTION_OFF, ACTION_ON):
+        for s in range(n):
+            now = NodeState.from_flat(s, nq)
+            p = config.app_packet_prob[now.app_mode]
+            dist = modem[action][now.modem]
+            p_conn = dist[M_CONNECTED]
+            tx_if_connected = (1.0 - p) * min(now.queue, tx) + p * min(now.queue + 1, tx)
+            drop_if_blocked = p if now.queue == config.capacity else 0.0
+            out[action * n + s] = (
+                w_current * float(dist @ amps)
+                + w_tx * p_conn * tx_if_connected
+                + w_drop * (1.0 - p_conn) * drop_if_blocked
+            )
+    return out
+
+
+@st.composite
+def stochastic_matrices(draw, n):
+    weights = st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)
+    sigma = np.array([draw(weights) for _ in range(n)])
+    return sigma / sigma.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def node_models(draw):
+    """A random valid node config, a runtime sigma for it, and a rho."""
+    modes = draw(st.integers(1, 3))
+
+    def floats(lo, hi, size):
+        return tuple(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    config = NodeConfig(
+        queue_states=draw(st.integers(2, 6)),
+        app_transition=tuple(map(tuple, draw(stochastic_matrices(modes)).tolist())),
+        app_packet_prob=floats(0.0, 1.0, modes),
+        currents_ma=floats(0.0, 500.0, 3),
+        current_scale=draw(st.floats(0.0, 10.0)),
+        tx_per_frame=draw(st.integers(1, 3)),
+        reward_weights=floats(-1e3, 1e3, 3),
+    )
+    return config, draw(stochastic_matrices(modes)), draw(st.floats(1e-6, 1.0))
+
+
+class TestFactoredConstruction:
+    """The vectorised model equals the per-cell frame semantics, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_models())
+    def test_transitions_match_per_cell_evaluation(self, model):
+        config, sigma, rho = model
+        assert np.array_equal(assemble_stm(config, sigma=sigma, rho=rho),
+                              per_cell_stm(config, sigma, rho))
+
+    @settings(max_examples=60, deadline=None)
+    @given(node_models())
+    def test_rewards_match_per_cell_evaluation(self, model):
+        config, _, rho = model
+        assert np.array_equal(reward_vector(config, rho=rho), per_cell_rewards(config, rho))
+
+    def test_default_model_matches_per_cell_evaluation(self):
+        config = NodeConfig()
+        rho = rho_from_connect_time(config.connect_time, config.frame_period)
+        sigma = np.asarray(config.app_transition)
+        assert np.array_equal(assemble_stm(config), per_cell_stm(config, sigma, rho))
+        assert np.array_equal(reward_vector(config), per_cell_rewards(config, rho))
