@@ -20,10 +20,13 @@ from dataclasses import replace
 from . import __version__
 from .config import ConfigError, load_scenario
 from .controllers import ParameterEstimates, learnable_parameter_count
-from .core import ConvergenceError
-from .node import ACTION_ON, N_ACTIONS, NodeState, build_mdp, floor_frames, stm_nonzeros
+from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from .node import (
+    ACTION_ON, N_ACTIONS, N_MODEM_STATES, NodeState, build_mdp, floor_frames, stm_nonzeros,
+)
 from .sim import (
     DEFAULT_EPSILON_DECAY,
+    DEFAULT_SEEDS,
     NQ_SWEEP,
     R2_SWEEP,
     REFERENCE_POWER_MODELS,
@@ -76,7 +79,7 @@ def _cmd_solve(args):
     print(f"policy: modem on in {on}/{node.n_states} states")
     modem_names = ("off", "connecting", "connected")
     for mode in range(node.n_app_modes):
-        for modem in range(3):
+        for modem in range(N_MODEM_STATES):
             marks = "".join(
                 "N"
                 if result.policy[NodeState(mode, q, modem).flat(node.queue_states)]
@@ -222,7 +225,7 @@ def build_parser():
     p_solve.add_argument("--r2", type=float, help="override the per-packet reward weight")
     p_solve.add_argument("--beta", type=float, help="override the discount factor")
     p_solve.add_argument("--tau", type=float, help="override the convergence tolerance")
-    p_solve.add_argument("--max-iterations", type=int, default=10**6)
+    p_solve.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run one controller through a scenario")
@@ -267,7 +270,9 @@ def build_parser():
         "--nq-values", nargs="+", type=int, default=list(NQ_SWEEP),
         help="queue thresholds for on-off",
     )
-    p_sweep.add_argument("--seeds", type=int, default=5, help="seeds 0..N-1 to average")
+    p_sweep.add_argument(
+        "--seeds", type=int, default=len(DEFAULT_SEEDS), help="seeds 0..N-1 to average"
+    )
     p_sweep.add_argument("--duration", type=float, help="override the duration (seconds)")
     p_sweep.add_argument("--alpha", type=float, default=0.1)
     p_sweep.add_argument("--epsilon", type=float, default=0.05)

@@ -1,133 +1,116 @@
 """Scenario configuration files.
 
-Plain-text key = value format, one setting per line:
+Plain-text ``key = value`` format, one setting per line; ``#`` starts a comment
+and blank lines are ignored.  Node keys are exactly the
+:class:`compactmdp.node.NodeConfig` fields, each read like the field's default:
+a tuple of tuples is a matrix with rows separated by ``;``
+(``app_transition = 0.99 0.01 ; 0.05 0.95``), a tuple a whitespace-separated
+vector (``app_packet_prob = 0.05 1.0``), anything else a scalar of the
+default's type (``frame_period = 0.1``).  Scenario keys are ``duration``
+(seconds) and ``seed``.  Timed environment changes read ``at <seconds> set
+<parameter> = <value>``; :class:`compactmdp.sim.ScheduleChange` decides which
+parameters and times are allowed.
 
-* ``#`` starts a comment; blank lines are ignored.
-* Scalars: ``frame_period = 0.1``.
-* Vectors: whitespace-separated, ``app_packet_prob = 0.05 1.0``.
-* Matrices: rows separated by ``;``, ``app_transition = 0.99 0.01 ; 0.05 0.95``.
-* Timed environment changes: ``at <seconds> set <parameter> = <value>`` with
-  the same value syntax; parameters are limited to the schedulable set
-  (``connect_time``, ``app_transition``, ``app_packet_prob``).
-
-Node keys mirror :class:`compactmdp.node.NodeConfig` fields; scenario keys are
-``duration`` (seconds) and ``seed``.  Unknown keys are an error so typos fail
-loudly.  The packaged ``default_scenario.cfg`` documents every key and is what
-``load_scenario("default")`` returns.
+Unknown keys are an error so typos fail loudly.  Every fault found on a line is
+a :class:`ConfigError` naming that line.  The packaged ``default_scenario.cfg``
+documents every key and is what ``load_scenario("default")`` returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
 from .node import NodeConfig, floor_frames
-from .sim import SCHEDULABLE_FIELDS, Scenario, ScheduleChange, apply_change
+from .sim import Scenario, ScheduleChange, apply_change
 
 DEFAULT_NAME = "default"
 
-_VECTOR_KEYS = {"app_packet_prob", "currents_ma", "reward_weights"}
-_MATRIX_KEYS = {"app_transition"}
-_SCALAR_KEYS = {
-    "queue_states": int,
-    "frame_period": float,
-    "connect_time": float,
-    "current_scale": float,
-    "tx_per_frame": int,
-    "energy_c1": float,
-    "energy_c2": float,
-    "discount": float,
-    "tolerance": float,
-}
-_SCENARIO_KEYS = {"duration": float, "seed": int}
+#: Every key a scenario file may set, mapped to a value of the kind it takes.
+_SAMPLES = {f.name: f.default for f in fields(NodeConfig)} | {"duration": 0.0, "seed": 0}
 
 
 class ConfigError(ValueError):
     """A scenario file could not be parsed or failed validation."""
 
 
-def _parse_vector(text, where):
+@contextmanager
+def _on_line(lineno):
+    """Re-raise a ``ValueError`` from the block as a :class:`ConfigError` naming the line."""
     try:
-        return tuple(float(tok) for tok in text.split())
+        yield
     except ValueError as exc:
-        raise ConfigError(f"{where}: bad number in {text!r}") from exc
+        raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
-def _parse_matrix(text, where):
-    rows = [row.strip() for row in text.split(";")]
-    return tuple(_parse_vector(row, where) for row in rows if row)
-
-
-def _parse_value(key, text, where):
-    if key in _MATRIX_KEYS:
-        return _parse_matrix(text, where)
-    if key in _VECTOR_KEYS:
-        return _parse_vector(text, where)
-    if key in _SCALAR_KEYS:
-        caster = _SCALAR_KEYS[key]
+def _parse_value(key, text, sample=None):
+    """``text`` read as a value of ``key``, shaped like ``sample`` (its default)."""
+    if sample is None:
+        if key not in _SAMPLES:
+            raise ValueError(f"unknown key {key!r}")
+        sample = _SAMPLES[key]
+    if not isinstance(sample, tuple):
         try:
-            return caster(text) if caster is not float else float(text)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {key} expects {caster.__name__}, got {text!r}") from exc
-    raise ConfigError(f"{where}: unknown key {key!r}")
+            return type(sample)(text)
+        except ValueError:
+            raise ValueError(
+                f"{key} expects {type(sample).__name__}, got {text!r}"
+            ) from None
+    if isinstance(sample[0], tuple):
+        rows = tuple(
+            _parse_value(key, row, sample[0]) for row in text.split(";") if row.strip()
+        )
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError(
+                f"{key} rows have unequal lengths {[len(row) for row in rows]}"
+            )
+        return rows
+    return tuple(_parse_value(key, token, sample[0]) for token in text.split())
+
+
+def _parse_change(line):
+    """One ``at <seconds> set <parameter> = <value>`` line as a ScheduleChange."""
+    head, _, value_text = line.partition("=")
+    parts = head.split()
+    if len(parts) != 4 or parts[2] != "set" or not value_text.strip():
+        raise ValueError("schedule lines read 'at <seconds> set <parameter> = <value>'")
+    try:
+        time = float(parts[1])
+    except ValueError:
+        raise ValueError(f"bad time {parts[1]!r}") from None
+    return ScheduleChange(time, parts[3], _parse_value(parts[3], value_text.strip()))
 
 
 def parse_scenario(text):
     """Parse scenario file contents into a :class:`~compactmdp.sim.Scenario`."""
+    scenario = Scenario()
     node_fields = {}
     duration = None
-    seed = 0
     changes = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        where = f"line {lineno}"
-        if line.startswith("at "):
-            head, _, value_text = line.partition("=")
-            parts = head.split()
-            if len(parts) != 4 or parts[0] != "at" or parts[2] != "set" or not value_text:
-                raise ConfigError(
-                    f"{where}: schedule lines read 'at <seconds> set <parameter> = <value>'"
-                )
-            try:
-                when = float(parts[1])
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad time {parts[1]!r}") from exc
-            if not math.isfinite(when):
-                raise ConfigError(f"{where}: bad time {parts[1]!r}")
-            parameter = parts[3]
-            if parameter not in SCHEDULABLE_FIELDS:
-                raise ConfigError(
-                    f"{where}: {parameter!r} is not schedulable "
-                    f"(one of {SCHEDULABLE_FIELDS})"
-                )
-            changes.append(
-                (where, ScheduleChange(
-                    when, parameter, _parse_value(parameter, value_text.strip(), where)
-                ))
-            )
-            continue
-        key, sep, value_text = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{where}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        value_text = value_text.strip()
-        if key in _SCENARIO_KEYS:
-            try:
-                value = _SCENARIO_KEYS[key](value_text)
-            except ValueError as exc:
-                raise ConfigError(f"{where}: bad {key} {value_text!r}") from exc
-            if key == "duration":
-                duration = value
+        with _on_line(lineno):
+            if line.startswith("at "):
+                changes.append((lineno, _parse_change(line)))
+                continue
+            key, sep, value_text = line.partition("=")
+            if not sep:
+                raise ValueError(f"expected 'key = value', got {raw!r}")
+            key = key.strip()
+            value = _parse_value(key, value_text.strip())
+            if key == "seed":
+                scenario = replace(scenario, seed=value)
+            elif key == "duration":
+                duration = (lineno, value)
             else:
-                seed = value
-            continue
-        node_fields[key] = _parse_value(key, value_text, where)
+                node_fields[key] = value
 
-    node = replace(NodeConfig(), **node_fields) if node_fields else NodeConfig()
+    node = replace(NodeConfig(), **node_fields)
     try:
         node.validate()
     except ValueError as exc:
@@ -135,20 +118,20 @@ def parse_scenario(text):
     # Each change, applied in time order on top of the ones before it, must
     # leave a valid node, as it will when the simulator applies it.
     in_force = node
-    for where, change in sorted(changes, key=lambda item: item[1].time):
-        try:
+    for lineno, change in sorted(changes, key=lambda item: item[1].time):
+        with _on_line(lineno):
             in_force = apply_change(in_force, change)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    scenario = Scenario(
-        node=node, seed=seed, schedule=tuple(change for _, change in changes)
+    scenario = replace(
+        scenario, node=node, schedule=tuple(change for _, change in changes)
     )
     if duration is not None:
-        if not math.isfinite(duration):
-            raise ConfigError(f"duration {duration} is not finite")
-        frames = floor_frames(duration, node.frame_period)
-        if frames < 1:
-            raise ConfigError(f"duration {duration} is shorter than one frame")
+        lineno, seconds = duration
+        with _on_line(lineno):
+            if not math.isfinite(seconds):
+                raise ValueError(f"duration {seconds} is not finite")
+            frames = floor_frames(seconds, node.frame_period)
+            if frames < 1:
+                raise ValueError(f"duration {seconds} is shorter than one frame")
         scenario = replace(scenario, duration_frames=frames)
     return scenario
 

@@ -237,14 +237,11 @@ class QLearningController:
         self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
         self.q = [0.0] * (self.n_states * N_ACTIONS)
-        self.last_explored = False
         self._queue_states = config.queue_states
 
     def act(self, state, frame=0):
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
-            self.last_explored = True
             return int(self.rng.integers(N_ACTIONS))
-        self.last_explored = False
         i = state.flat(self._queue_states)
         # Lowest index wins ties, matching the solver's greedy reduction.
         return ACTION_ON if self.q[self.n_states + i] > self.q[i] else ACTION_OFF

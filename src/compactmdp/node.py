@@ -188,6 +188,9 @@ class NodeConfig:
 
 def app_transition_problems(sigma, n_modes):
     """Why ``sigma`` is not an ``n_modes``-square stochastic matrix, as messages."""
+    lengths = [np.size(row) for row in sigma]
+    if len(set(lengths)) > 1:
+        return [f"app_transition rows have unequal lengths {lengths}"]
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n_modes, n_modes):
         return [f"app_transition shape {sigma.shape} does not match {n_modes} modes"]

@@ -20,6 +20,7 @@ implementations break even.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -67,7 +68,11 @@ DEFAULT_EPSILON_DECAY = 0.9999
 
 @dataclass(frozen=True)
 class ScheduleChange:
-    """One piecewise-constant change of a true environment parameter."""
+    """One piecewise-constant change of a true environment parameter.
+
+    ``time`` is in seconds from the start of the run, finite and >= 0, and
+    ``parameter`` is one of :data:`SCHEDULABLE_FIELDS`.
+    """
 
     time: float
     parameter: str
@@ -76,18 +81,24 @@ class ScheduleChange:
     def __post_init__(self):
         if self.parameter not in SCHEDULABLE_FIELDS:
             raise ValueError(
-                f"schedule parameter {self.parameter!r} not one of {SCHEDULABLE_FIELDS}"
+                f"{self.parameter!r} is not schedulable (one of {SCHEDULABLE_FIELDS})"
             )
+        if not 0.0 <= self.time < math.inf:
+            raise ValueError(f"schedule time must be finite and >= 0, got {self.time}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A node config plus run length, seed, and environment schedule."""
+    """A node config plus run length, seed (>= 0), and environment schedule."""
 
     node: NodeConfig = field(default_factory=NodeConfig)
     duration_frames: int = 270000
     seed: int = 0
     schedule: tuple = ()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def duration_seconds(self):
@@ -140,7 +151,7 @@ def _environment_steps(config, schedule):
             raise ValueError(
                 f"schedule change at {change.time:g} s ({change.parameter}): {exc}"
             ) from exc
-        steps.append((max(0, floor_frames(change.time, config.frame_period)), config))
+        steps.append((floor_frames(change.time, config.frame_period), config))
     return steps
 
 
@@ -236,12 +247,11 @@ def simulate(scenario, controller):
     queue = deque()
     attach_frames_left = 0
 
-    transaction_open = False
     transaction_packets = 0
     transactions = 0
     transaction_energy = 0.0
     current_energy = 0.0
-    generated = transmitted = dropped = 0
+    transmitted = dropped = 0
     latency_frames = 0
     reward_total = 0.0
 
@@ -254,7 +264,6 @@ def simulate(scenario, controller):
             if modem == M_OFF:
                 modem = M_CONNECTING
                 attach_frames_left = attach_lengths[bisect_right(step_frames, frame) - 1]
-                transaction_open = True
                 transaction_packets = 0
             elif modem == M_CONNECTING:
                 attach_frames_left -= 1
@@ -264,14 +273,12 @@ def simulate(scenario, controller):
             modem = M_OFF
             transactions += 1
             transaction_energy += (c1 - c2) + c2 * transaction_packets
-            transaction_open = False
 
         # Application: packet emission uses this frame's mode.
         n_tx = 0
         n_drop = 0
         if modem == M_CONNECTED:
             if arrivals[frame]:
-                generated += 1
                 queue.append(frame)
                 queue_len += 1
             n_tx = min(queue_len, tx_per_frame)
@@ -281,7 +288,6 @@ def simulate(scenario, controller):
             transmitted += n_tx
             transaction_packets += n_tx
         elif arrivals[frame]:
-            generated += 1
             if queue_len < cap:
                 queue.append(frame)
                 queue_len += 1
@@ -299,7 +305,8 @@ def simulate(scenario, controller):
             states[(app * nq + queue_len) * N_MODEM_STATES + modem], frame,
         )
 
-    if transaction_open:
+    # A transaction still open at the end (modem not off) is counted too.
+    if modem != M_OFF:
         transactions += 1
         transaction_energy += (c1 - c2) + c2 * transaction_packets
 
@@ -311,7 +318,7 @@ def simulate(scenario, controller):
     )
     return SimMetrics(
         frames=frames,
-        packets_generated=generated,
+        packets_generated=arrivals.count(1),
         packets_transmitted=transmitted,
         packets_dropped=dropped,
         packets_queued_at_end=queue_len,

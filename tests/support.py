@@ -39,3 +39,12 @@ class AlwaysOnController:
 
     def observe(self, prev_state, action, reward, next_state, frame):
         return None
+
+
+def render(value):
+    """A node value in scenario-file syntax: scalar, vector, or ``;``-separated rows."""
+    if not isinstance(value, tuple):
+        return repr(value)
+    if value and isinstance(value[0], tuple):
+        return " ; ".join(render(row) for row in value)
+    return " ".join(repr(x) for x in value)

@@ -175,6 +175,35 @@ class TestErrorHandling:
         assert code == 1
         assert err.startswith("error: line 2:")
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("at -5 set connect_time = 3", "schedule time must be finite and >= 0"),
+            ("app_transition = 0.5 0.5 ; 1.0", "unequal lengths"),
+            ("seed = -1", "seed must be >= 0"),
+        ],
+    )
+    def test_bad_line_is_one_error_naming_it(self, capsys, tmp_path, text, problem):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"# a scenario\n{text}\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "on-off", "--duration", "10",
+            "--config", str(bad),
+        )
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: line 2: ")
+        assert problem in line
+
+    def test_negative_seed_option_names_the_seed(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "on-off", "--duration", "10", "--seed", "-1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
     def test_non_finite_app_transition_is_a_clean_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("app_transition = nan nan ; 0.5 0.5\n")

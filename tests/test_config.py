@@ -1,9 +1,29 @@
 """Scenario file parsing and the packaged default scenario."""
 
+from dataclasses import fields
+
 import pytest
 
 from compactmdp import ConfigError, NodeConfig, load_scenario, parse_scenario
 from compactmdp.config import default_scenario_text
+from support import render
+
+#: A valid node that differs from the defaults in every field.
+OTHER_NODE = NodeConfig(
+    queue_states=7,
+    app_transition=((0.8, 0.2, 0.0), (0.1, 0.8, 0.1), (0.0, 0.5, 0.5)),
+    app_packet_prob=(0.1, 0.5, 1.0),
+    frame_period=0.25,
+    connect_time=1.5,
+    currents_ma=(1.0, 100.0, 150.0),
+    current_scale=0.001,
+    tx_per_frame=3,
+    energy_c1=5.0,
+    energy_c2=1.25,
+    reward_weights=(-1.0, 2.0, -50.0),
+    discount=0.9,
+    tolerance=1e-8,
+)
 
 
 class TestDefaultScenario:
@@ -59,6 +79,13 @@ class TestParseScenario:
     def test_inline_comments_are_stripped(self):
         scenario = parse_scenario("seed = 7  # lucky\n")
         assert scenario.seed == 7
+
+    def test_every_node_field_round_trips(self):
+        assert all(getattr(OTHER_NODE, f.name) != f.default for f in fields(NodeConfig))
+        text = "".join(
+            f"{f.name} = {render(getattr(OTHER_NODE, f.name))}\n" for f in fields(NodeConfig)
+        )
+        assert parse_scenario(text).node == OTHER_NODE
 
     def test_schedule_line(self):
         scenario = parse_scenario("at 120 set connect_time = 3.0\n")
@@ -145,6 +172,24 @@ class TestParseScenario:
     def test_non_finite_schedule_line_fails_with_line_number(self, line):
         with pytest.raises(ConfigError, match="line 2: "):
             parse_scenario(f"seed = 1\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("seed = -1", "seed must be >= 0"),
+            ("seed = 1.5", "seed expects int"),
+            ("tx_per_frame = 2.5", "tx_per_frame expects int"),
+            ("app_transition = 0.5 0.5 ; 1.0", r"unequal lengths \[2, 1\]"),
+            ("at 10 set app_transition = 0.5 0.5 ; 1.0", "unequal lengths"),
+            ("at -5 set connect_time = 3", "time must be finite and >= 0"),
+            ("at 10 set bogus = 1", "unknown key 'bogus'"),
+            ("duration = 0.01", "duration 0.01 is shorter than one frame"),
+            ("duration = inf", "duration inf is not finite"),
+        ],
+    )
+    def test_fault_on_a_line_names_the_line(self, line, problem):
+        with pytest.raises(ConfigError, match=f"^line 2: .*{problem}"):
+            parse_scenario(f"seed = 1\n{line}\nqueue_states = 6\n")
 
     def test_schedule_changes_are_checked_in_time_order(self):
         # Three modes arrive in two steps; each step must be valid once the

@@ -121,6 +121,9 @@ class TestAppFactor:
     def test_rejects_non_square(self):
         self.assert_rejected([[1.0, 0.0]], "does not match")
 
+    def test_rejects_ragged_rows(self):
+        self.assert_rejected([[0.5, 0.5], [1.0]], r"rows have unequal lengths \[2, 1\]")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         self.assert_rejected([[bad, bad], [0.5, 0.5]], r"non-finite entries in rows \[0\]")

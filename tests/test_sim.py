@@ -78,6 +78,10 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate(Scenario(duration_frames=0), ThresholdController(1))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Scenario(seed=-1)
+
     def test_always_on_latency_is_bounded_by_the_attach(self):
         m = run(AlwaysOnController(), frames=20000)
         assert m.packets_transmitted > 0
@@ -165,6 +169,10 @@ class TestSchedule:
                 "do not sum to 1",
             ),
             (ScheduleChange(20.0, "connect_time", 0.01), "shorter than one frame"),
+            (
+                ScheduleChange(10.0, "app_transition", ((0.5, 0.5), (1.0,))),
+                "unequal lengths",
+            ),
         ],
     )
     def test_invalid_change_fails_before_frame_zero(self, change, problem):
@@ -178,6 +186,11 @@ class TestSchedule:
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             ScheduleChange(10.0, "frame_period", 0.2)
+
+    @pytest.mark.parametrize("time", [-5.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_time(self, time):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ScheduleChange(time, "connect_time", 3.0)
 
 
 class TestMakeController:
