@@ -32,7 +32,6 @@ from .core import (
     ConvergenceError,
     MdpSpec,
     dense_value_iteration,
-    flat_index,
     validate,
 )
 from .node import (
@@ -117,7 +116,6 @@ __all__ = [
     "crossover_period",
     "dense_value_iteration",
     "energy_per_transaction",
-    "flat_index",
     "inf_norm_diff",
     "learnable_parameter_count",
     "load_scenario",

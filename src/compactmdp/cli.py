@@ -22,7 +22,7 @@ from .config import ConfigError, load_scenario
 from .controllers import ParameterEstimates, learnable_parameter_count
 from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from .node import (
-    ACTION_ON, N_ACTIONS, N_MODEM_STATES, NodeState, build_mdp, floor_frames, stm_nonzeros,
+    ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
 )
 from .sim import (
     DEFAULT_EPSILON_DECAY,
@@ -78,15 +78,10 @@ def _cmd_solve(args):
     on = int(sum(result.policy))
     print(f"policy: modem on in {on}/{node.n_states} states")
     modem_names = ("off", "connecting", "connected")
+    grid = result.policy.reshape(node.n_app_modes, node.queue_states, N_MODEM_STATES)
     for mode in range(node.n_app_modes):
         for modem in range(N_MODEM_STATES):
-            marks = "".join(
-                "N"
-                if result.policy[NodeState(mode, q, modem).flat(node.queue_states)]
-                == ACTION_ON
-                else "."
-                for q in range(node.queue_states)
-            )
+            marks = "".join("N" if a == ACTION_ON else "." for a in grid[mode, :, modem])
             print(f"  mode {mode} {modem_names[modem]:<10} queue 0..{node.capacity}: {marks}")
     return 0
 

@@ -1,6 +1,12 @@
 """Runtime controllers for the sensor node.
 
-Three policies share one frame-stepped interface (``act`` then ``observe``):
+Three policies share one frame-stepped protocol over the flat state index
+``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
+layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
+an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
+frame's outcome.  Each controller declares the ``n_states`` it was built for,
+and :func:`compactmdp.sim.simulate` checks it against the scenario before
+frame 0.
 
 * :class:`ThresholdController` — the classic duty-cycling rule: connect when
   the queue reaches a threshold, stay up until it is empty.
@@ -23,6 +29,7 @@ from .node import (
     M_CONNECTING,
     M_OFF,
     N_ACTIONS,
+    N_MODEM_STATES,
     app_transition_problems,
     build_mdp,
     floor_frames,
@@ -119,22 +126,34 @@ class ThresholdController:
 
     Requests the modem on when the queue has reached ``queue_threshold``
     packets, keeps it on while a transaction is in flight and packets remain,
-    and drops back to off once the queue is empty.
+    and drops back to off once the queue is empty.  The rule is tabulated once
+    as ``policy``, one action per flat state.
     """
 
-    def __init__(self, queue_threshold):
+    def __init__(self, config, queue_threshold):
+        config.validate()
         if queue_threshold < 1:
             raise ValueError(f"queue_threshold must be >= 1, got {queue_threshold}")
+        if queue_threshold > config.capacity:
+            raise ValueError(
+                f"queue threshold {queue_threshold} is above the queue capacity "
+                f"{config.capacity}; the modem would never connect"
+            )
         self.queue_threshold = queue_threshold
+        self.n_states = config.n_states
+        self.policy = [
+            ACTION_ON
+            if queue >= queue_threshold or (modem != M_OFF and queue > 0)
+            else ACTION_OFF
+            for _ in range(config.n_app_modes)
+            for queue in range(config.queue_states)
+            for modem in range(N_MODEM_STATES)
+        ]
 
-    def act(self, state, frame=0):
-        if state.queue >= self.queue_threshold:
-            return ACTION_ON
-        if state.modem != M_OFF and state.queue > 0:
-            return ACTION_ON
-        return ACTION_OFF
+    def act(self, s, frame=0):
+        return self.policy[s]
 
-    def observe(self, prev_state, action, reward, next_state, frame):
+    def observe(self, s, action, reward, s_next, frame):
         return None
 
 
@@ -159,13 +178,14 @@ class StructuredController:
             raise ValueError(f"solve_period {solve_period} shorter than one frame")
         self.max_iterations = max_iterations
         self.estimates = ParameterEstimates.from_config(config, alpha=alpha)
+        self.n_states = config.n_states
         # All-off until the first successful solve.
         self.policy = [ACTION_OFF] * config.n_states
         self.solve_count = 0
         self.total_kernel_ops = 0
         self.last_result = None
         self.solver_failures = 0
-        self._queue_states = config.queue_states
+        self._mode_stride = config.queue_states * N_MODEM_STATES
         self._next_solve_frame = 0
         self._connecting_frames = 0
 
@@ -186,20 +206,22 @@ class StructuredController:
         self.solve_count += 1
         self.total_kernel_ops += result.kernel_op_count
 
-    def act(self, state, frame=0):
+    def act(self, s, frame=0):
         if frame >= self._next_solve_frame:
             self.resolve_policy()
             self._next_solve_frame = frame + self.solve_period_frames
-        return self.policy[state.flat(self._queue_states)]
+        return self.policy[s]
 
-    def observe(self, prev_state, action, reward, next_state, frame):
-        self.estimates.observe_app_transition(prev_state.app_mode, next_state.app_mode)
+    def observe(self, s, action, reward, s_next, frame):
+        stride = self._mode_stride
+        self.estimates.observe_app_transition(s // stride, s_next // stride)
         # Measure attach durations by counting observed CONNECTING frames.
-        if next_state.modem == M_CONNECTING:
+        next_modem = s_next % N_MODEM_STATES
+        if next_modem == M_CONNECTING:
             self._connecting_frames += 1
         elif (
-            next_state.modem == M_CONNECTED
-            and prev_state.modem == M_CONNECTING
+            next_modem == M_CONNECTED
+            and s % N_MODEM_STATES == M_CONNECTING
             and self._connecting_frames > 0
         ):
             self.estimates.observe_connect_time(
@@ -237,20 +259,19 @@ class QLearningController:
         self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
         self.q = [0.0] * (self.n_states * N_ACTIONS)
-        self._queue_states = config.queue_states
 
-    def act(self, state, frame=0):
+    def act(self, s, frame=0):
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             return int(self.rng.integers(N_ACTIONS))
-        i = state.flat(self._queue_states)
+        q = self.q
         # Lowest index wins ties, matching the solver's greedy reduction.
-        return ACTION_ON if self.q[self.n_states + i] > self.q[i] else ACTION_OFF
+        return ACTION_ON if q[self.n_states + s] > q[s] else ACTION_OFF
 
-    def observe(self, prev_state, action, reward, next_state, frame):
-        i_next = next_state.flat(self._queue_states)
-        best_next = max(self.q[i_next], self.q[self.n_states + i_next])
-        i = action * self.n_states + prev_state.flat(self._queue_states)
-        self.q[i] += self.alpha * (reward + self.discount * best_next - self.q[i])
+    def observe(self, s, action, reward, s_next, frame):
+        q = self.q
+        best_next = max(q[s_next], q[self.n_states + s_next])
+        i = action * self.n_states + s
+        q[i] += self.alpha * (reward + self.discount * best_next - q[i])
         if self.epsilon_decay < 1.0:
             self.epsilon *= self.epsilon_decay
 

@@ -42,35 +42,6 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def flat_index(state, action, n_states):
-    """Flatten a (state, action) pair into a stacked row index.
-
-    The layout is action-major: all rows for action 0 come first, then all
-    rows for action 1, and so on, so the index is
-    ``action * n_states + state``.
-
-    Parameters
-    ----------
-    state : int
-        State index, ``0 <= state < n_states``.
-    action : int
-        Action index, ``>= 0``.
-    n_states : int
-        Number of states in the MDP.
-
-    Returns
-    -------
-    int
-    """
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if not 0 <= state < n_states:
-        raise ValueError(f"state {state} out of range [0, {n_states})")
-    if action < 0:
-        raise ValueError(f"action must be >= 0, got {action}")
-    return action * n_states + state
-
-
 @dataclass(frozen=True)
 class MdpSpec:
     """A finite MDP in stacked action-major form.

@@ -242,7 +242,7 @@ def assemble_stm(config, sigma=None, rho=None):
     """Assemble the stacked transition matrix from the three factors.
 
     The state index follows :meth:`NodeState.flat` and rows follow the
-    action-major layout of :func:`compactmdp.core.flat_index`.  The joint
+    action-major layout described in :mod:`compactmdp.core`.  The joint
     probability factorizes as
 
         p(app', queue', modem' | state, action)
@@ -294,12 +294,6 @@ def energy_per_transaction(n_packets, c1=6.62, c2=1.55):
     if n_packets < 1:
         raise ValueError(f"a transaction carries at least one packet, got {n_packets}")
     return c1 + c2 * (n_packets - 1)
-
-
-def reward(current, packets_tx, packets_dropped, weights):
-    """Per-frame reward: weighted current draw, deliveries, and drops."""
-    w_current, w_tx, w_drop = weights
-    return w_current * current + w_tx * packets_tx + w_drop * packets_dropped
 
 
 def reward_vector(config, rho=None):

@@ -35,7 +35,6 @@ from .node import (
     N_MODEM_STATES,
     SUPPLY_VOLTS,
     NodeConfig,
-    NodeState,
     floor_frames,
 )
 from .controllers import (
@@ -216,12 +215,20 @@ def simulate(scenario, controller):
     sample path.  That path (app modes and packet arrivals, under the
     schedule) is drawn up front, before frame 0, together with the check of
     every schedule change; the frame loop then only steps the modem and the
-    queue and calls the controller once to ``act`` and once to ``observe``.
+    queue and calls the controller once to ``act`` and once to ``observe``,
+    with flat state indices.  A controller that declares ``n_states`` must
+    have been built for the scenario's state count.
     """
     config = scenario.node.validate()
     frames = scenario.duration_frames
     if frames < 1:
         raise ValueError(f"duration_frames must be >= 1, got {frames}")
+    n_states = getattr(controller, "n_states", config.n_states)
+    if n_states != config.n_states:
+        raise ValueError(
+            f"controller is built for {n_states} states, "
+            f"the scenario's node has {config.n_states}"
+        )
     steps = _environment_steps(config, scenario.schedule)
     app_path, arrivals = _exogenous_trace(scenario.seed, frames, steps)
 
@@ -236,14 +243,12 @@ def simulate(scenario, controller):
     # Attach length in frames for the connect_time in force at each step.
     step_frames = [at for at, _ in steps]
     attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
-    # The controllers see shared, immutable states indexed by NodeState.flat.
-    states = [NodeState.from_flat(i, nq) for i in range(config.n_states)]
     act = controller.act
     observe = controller.observe
 
-    app = app_path[0]
     queue_len = 0
     modem = M_OFF
+    s = (app_path[0] * nq + queue_len) * N_MODEM_STATES + modem
     queue = deque()
     attach_frames_left = 0
 
@@ -256,8 +261,7 @@ def simulate(scenario, controller):
     reward_total = 0.0
 
     for frame in range(frames):
-        state = states[(app * nq + queue_len) * N_MODEM_STATES + modem]
-        action = act(state, frame)
+        action = act(s, frame)
 
         # Modem first: the frame is spent in the state being entered.
         if action == ACTION_ON:
@@ -299,11 +303,9 @@ def simulate(scenario, controller):
         frame_reward = w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
         reward_total += frame_reward
 
-        app = app_path[frame + 1]
-        observe(
-            state, action, frame_reward,
-            states[(app * nq + queue_len) * N_MODEM_STATES + modem], frame,
-        )
+        s_next = (app_path[frame + 1] * nq + queue_len) * N_MODEM_STATES + modem
+        observe(s, action, frame_reward, s_next, frame)
+        s = s_next
 
     # A transaction still open at the end (modem not off) is counted too.
     if modem != M_OFF:
@@ -343,13 +345,7 @@ def make_controller(series, config, value, seed=None, alpha=0.1, epsilon=0.05,
     config's middle reward weight is replaced by ``value``).
     """
     if series == "on-off":
-        threshold = int(value)
-        if threshold > config.capacity:
-            raise ValueError(
-                f"queue threshold {threshold} is above the queue capacity "
-                f"{config.capacity}; the modem would never connect"
-            )
-        return ThresholdController(threshold), config
+        return ThresholdController(config, int(value)), config
     w1, _, w3 = config.reward_weights
     tuned = replace(config, reward_weights=(w1, float(value), w3))
     if series == "mdp":
@@ -390,6 +386,8 @@ class SweepPoint:
 
 def sweep_series(scenario, series, values, seeds=DEFAULT_SEEDS, **controller_kwargs):
     """Run one series over its parameter grid, averaging metrics over seeds."""
+    if len(seeds) < 1:
+        raise ValueError("a sweep needs at least one seed")
     parameter = "queue_threshold" if series == "on-off" else "tx_reward"
     points = []
     for value in values:

@@ -247,8 +247,8 @@ def test_criterion_09_simulation_invariants():
         runs = 0
         for seed in range(3):
             controllers = [
-                ThresholdController(1),
-                ThresholdController(5),
+                ThresholdController(NodeConfig(), 1),
+                ThresholdController(NodeConfig(), 5),
                 AlwaysOnController(),
                 StructuredController(NodeConfig(), solve_period=600.0),
                 QLearningController(NodeConfig(), seed=(seed, 1),
@@ -295,7 +295,7 @@ def test_criterion_09_simulation_invariants():
             lambda: QLearningController(NodeConfig(), seed=(1, 1),
                                         epsilon_decay=0.9999),
             lambda: StructuredController(NodeConfig(), solve_period=600.0),
-            lambda: ThresholdController(1),
+            lambda: ThresholdController(NodeConfig(), 1),
         ):
             a = simulate(Scenario(duration_frames=20000, seed=1), make())
             b = simulate(Scenario(duration_frames=20000, seed=1), make())

@@ -168,6 +168,15 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "capacity" in err
 
+    def test_zero_seeds_is_a_clean_failure(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--methods", "on-off", "--nq-values", "2",
+            "--seeds", "0", "--duration", "10",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: a sweep needs at least one seed\n"
+
     def test_invalid_schedule_value_is_a_clean_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("seed = 1\nat 10 set app_packet_prob = 0.5\n")

@@ -113,16 +113,16 @@ class TestThresholdController:
         ],
     )
     def test_rule_table(self, queue, modem, expected):
-        controller = ThresholdController(queue_threshold=3)
-        assert controller.act(NodeState(0, queue, modem)) == expected
+        controller = ThresholdController(NodeConfig(), queue_threshold=3)
+        assert controller.act(NodeState(0, queue, modem).flat(11)) == expected
 
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError):
-            ThresholdController(queue_threshold=0)
+            ThresholdController(NodeConfig(), queue_threshold=0)
 
     def test_observe_is_a_no_op(self):
-        controller = ThresholdController(queue_threshold=1)
-        s = NodeState(0, 0, M_OFF)
+        controller = ThresholdController(NodeConfig(), queue_threshold=1)
+        s = NodeState(0, 0, M_OFF).flat(11)
         controller.observe(s, ACTION_OFF, 0.0, s, 0)
         assert controller.act(s) == ACTION_OFF
 
@@ -136,7 +136,7 @@ class TestStructuredController:
     def test_first_act_solves_from_the_priors(self):
         config = NodeConfig()
         controller = StructuredController(config)
-        controller.act(NodeState(0, 0, M_OFF), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
         assert controller.solve_count == 1
         reference = svi_solve(build_mdp(config))
         assert controller.policy == reference.policy.tolist()
@@ -144,14 +144,14 @@ class TestStructuredController:
 
     def test_acting_between_solves_is_pure_lookup(self):
         controller = StructuredController(NodeConfig())
-        controller.act(NodeState(0, 0, M_OFF), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
         before = (
             controller.estimates.sigma_hat.copy(),
             controller.estimates.connect_time_hat,
             list(controller.policy),
         )
         for flat in range(66):
-            controller.act(NodeState.from_flat(flat, 11), frame=5)
+            controller.act(flat, frame=5)
         assert controller.solve_count == 1
         assert_allclose(controller.estimates.sigma_hat, before[0])
         assert controller.estimates.connect_time_hat == before[1]
@@ -159,7 +159,7 @@ class TestStructuredController:
 
     def test_resolving_with_unchanged_estimates_is_stationary(self):
         controller = StructuredController(NodeConfig(), solve_period=1.0)
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         controller.act(s, frame=0)
         first = list(controller.policy)
         controller.act(s, frame=controller.solve_period_frames)
@@ -169,11 +169,11 @@ class TestStructuredController:
     def test_worse_attach_estimate_changes_the_policy(self):
         config = NodeConfig()
         controller = StructuredController(config, alpha=1.0)
-        controller.act(NodeState(0, 0, M_OFF), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
         baseline = list(controller.policy)
         controller.estimates.observe_connect_time(2 * config.connect_time)
         controller.act(
-            NodeState(0, 0, M_OFF), frame=controller.solve_period_frames
+            NodeState(0, 0, M_OFF).flat(11), frame=controller.solve_period_frames
         )
         assert controller.solve_count == 2
         assert controller.policy != baseline
@@ -181,9 +181,9 @@ class TestStructuredController:
     def test_attach_duration_counted_in_connecting_frames(self):
         config = NodeConfig()
         controller = StructuredController(config, alpha=1.0)
-        off = NodeState(0, 0, M_OFF)
-        connecting = NodeState(0, 0, M_CONNECTING)
-        connected = NodeState(0, 0, M_CONNECTED)
+        off = NodeState(0, 0, M_OFF).flat(11)
+        connecting = NodeState(0, 0, M_CONNECTING).flat(11)
+        connected = NodeState(0, 0, M_CONNECTED).flat(11)
         controller.observe(off, ACTION_ON, 0.0, connecting, 0)
         for frame in range(1, 7):
             controller.observe(connecting, ACTION_ON, 0.0, connecting, frame)
@@ -192,21 +192,21 @@ class TestStructuredController:
 
     def test_aborted_attach_does_not_update_the_estimate(self):
         controller = StructuredController(NodeConfig(), alpha=1.0)
-        off = NodeState(0, 0, M_OFF)
-        connecting = NodeState(0, 0, M_CONNECTING)
+        off = NodeState(0, 0, M_OFF).flat(11)
+        connecting = NodeState(0, 0, M_CONNECTING).flat(11)
         controller.observe(off, ACTION_ON, 0.0, connecting, 0)
         controller.observe(connecting, ACTION_OFF, 0.0, off, 1)
         assert controller.estimates.connect_time_hat == 2.0
         # A later successful attach starts its count from zero.
         controller.observe(off, ACTION_ON, 0.0, connecting, 2)
         controller.observe(
-            connecting, ACTION_ON, 0.0, NodeState(0, 0, M_CONNECTED), 3
+            connecting, ACTION_ON, 0.0, NodeState(0, 0, M_CONNECTED).flat(11), 3
         )
         assert abs(controller.estimates.connect_time_hat - 0.1) < 1e-12
 
     def test_solver_failure_keeps_last_good_policy(self, monkeypatch):
         controller = StructuredController(NodeConfig(), solve_period=1.0)
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         controller.act(s, frame=0)
         good = list(controller.policy)
         assert controller.solver_failures == 0
@@ -231,7 +231,7 @@ class TestStructuredController:
 
         monkeypatch.setattr(controllers, "svi_solve", bug)
         with pytest.raises(TypeError):
-            controller.act(NodeState(0, 0, M_OFF), frame=0)
+            controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
         assert controller.solver_failures == 0
 
     def test_rejects_sub_frame_solve_period(self):
@@ -244,25 +244,25 @@ class TestQLearningController:
         controller = QLearningController(
             NodeConfig(), alpha=1.0, epsilon=0.0, discount=0.0
         )
-        s = NodeState(0, 0, M_OFF)
-        s2 = NodeState(0, 1, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
+        s2 = NodeState(0, 1, M_OFF).flat(11)
         controller.observe(s, ACTION_ON, 5.0, s2, 0)
-        assert controller.q[66 + s.flat(11)] == 5.0
+        assert controller.q[66 + s] == 5.0
         assert sum(1 for v in controller.q if v != 0.0) == 1
 
     def test_self_loop_converges_to_the_discounted_sum(self):
         controller = QLearningController(
             NodeConfig(), alpha=0.5, epsilon=0.0, discount=0.9
         )
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         for frame in range(2000):
             controller.observe(s, ACTION_ON, 1.0, s, frame)
-        assert abs(controller.q[66 + s.flat(11)] - 1.0 / (1.0 - 0.9)) < 1e-6
+        assert abs(controller.q[66 + s] - 1.0 / (1.0 - 0.9)) < 1e-6
 
     def test_untrained_table_keeps_the_modem_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         for flat in range(66):
-            assert controller.act(NodeState.from_flat(flat, 11)) == ACTION_OFF
+            assert controller.act(flat) == ACTION_OFF
 
     def test_greedy_matches_the_solver_reduction(self):
         from compactmdp.sparse import max_reduce
@@ -272,16 +272,16 @@ class TestQLearningController:
         controller.q = rng.normal(size=132).tolist()
         _, policy = max_reduce(np.array(controller.q), 66, 2)
         for flat in range(66):
-            assert controller.act(NodeState.from_flat(flat, 11)) == policy[flat]
+            assert controller.act(flat) == policy[flat]
 
     def test_exact_tie_prefers_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         controller.q[0] = 2.5
         controller.q[66] = 2.5
-        assert controller.act(NodeState(0, 0, M_OFF)) == ACTION_OFF
+        assert controller.act(NodeState(0, 0, M_OFF).flat(11)) == ACTION_OFF
 
     def test_exploration_is_seed_deterministic(self):
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         runs = []
         for _ in range(2):
             controller = QLearningController(NodeConfig(), epsilon=1.0, seed=11)
@@ -293,7 +293,7 @@ class TestQLearningController:
         controller = QLearningController(
             NodeConfig(), epsilon=0.05, epsilon_decay=0.999
         )
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         expected = 0.05
         for frame in range(100):
             controller.observe(s, ACTION_OFF, 0.0, s, frame)
@@ -302,7 +302,7 @@ class TestQLearningController:
 
     def test_constant_epsilon_by_default(self):
         controller = QLearningController(NodeConfig())
-        s = NodeState(0, 0, M_OFF)
+        s = NodeState(0, 0, M_OFF).flat(11)
         controller.observe(s, ACTION_OFF, 0.0, s, 0)
         assert controller.epsilon == 0.05
 

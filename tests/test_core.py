@@ -4,28 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactmdp import MdpSpec, dense_value_iteration, flat_index, validate
+from compactmdp import MdpSpec, dense_value_iteration, validate
 from compactmdp.core import ConvergenceError
 
 from support import random_mdp
-
-
-def test_flat_index_is_action_major():
-    assert flat_index(0, 0, 66) == 0
-    assert flat_index(5, 0, 66) == 5
-    assert flat_index(5, 1, 66) == 71
-    assert flat_index(65, 1, 66) == 131
-
-
-def test_flat_index_covers_every_row_exactly_once():
-    seen = {flat_index(s, a, 66) for a in range(2) for s in range(66)}
-    assert seen == set(range(132))
-
-
-@pytest.mark.parametrize("state,action", [(-1, 0), (66, 0), (0, -1)])
-def test_flat_index_rejects_out_of_range(state, action):
-    with pytest.raises(ValueError):
-        flat_index(state, action, 66)
 
 
 def _chain_mdp(beta=0.9):

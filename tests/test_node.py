@@ -28,7 +28,6 @@ from compactmdp.node import (
     floor_frames,
     modem_stm,
     queue_stm,
-    reward,
 )
 
 
@@ -225,10 +224,6 @@ class TestEnergyModel:
 
 
 class TestReward:
-    def test_connected_idle_pays_current_and_drop(self):
-        value = reward(0.1625, 0, 1, (-10.0, 5.0, -100.0))
-        assert abs(value - (-101.625)) < 1e-12
-
     def test_vector_frozen_entries(self):
         config = NodeConfig()  # weights (-10, 5, -100)
         r = reward_vector(config)

@@ -50,7 +50,7 @@ def run(controller, frames=1000, seed=0, node=None, schedule=()):
 
 class TestSimulateBasics:
     def test_no_traffic_no_activity(self):
-        m = run(ThresholdController(1), node=QUIET)
+        m = run(ThresholdController(NodeConfig(), 1), node=QUIET)
         assert m.packets_generated == 0
         assert m.packets_transmitted == 0
         assert m.packets_dropped == 0
@@ -76,7 +76,7 @@ class TestSimulateBasics:
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
-            simulate(Scenario(duration_frames=0), ThresholdController(1))
+            simulate(Scenario(duration_frames=0), ThresholdController(NodeConfig(), 1))
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
@@ -89,16 +89,16 @@ class TestSimulateBasics:
 
     def test_threshold_extremes_trade_latency_for_energy(self):
         for seed in (0, 1):
-            eager = run(ThresholdController(1), frames=50000, seed=seed)
-            lazy = run(ThresholdController(10), frames=50000, seed=seed)
+            eager = run(ThresholdController(NodeConfig(), 1), frames=50000, seed=seed)
+            lazy = run(ThresholdController(NodeConfig(), 10), frames=50000, seed=seed)
             assert eager.avg_latency < lazy.avg_latency
             assert eager.energy_per_packet > lazy.energy_per_packet
 
 
 class TestConservationAndDeterminism:
     def controllers(self):
-        yield ThresholdController(1)
-        yield ThresholdController(5)
+        yield ThresholdController(NodeConfig(), 1)
+        yield ThresholdController(NodeConfig(), 5)
         yield AlwaysOnController()
         yield StructuredController(NodeConfig(), solve_period=100.0)
         yield QLearningController(NodeConfig(), seed=9)
@@ -138,26 +138,41 @@ class TestConservationAndDeterminism:
         assert m.solver_invocations == 3
         assert m.solver_kernel_ops == controller.total_kernel_ops
         assert m.solver_kernel_ops > 0
-        assert run(ThresholdController(1), frames=100).solver_invocations == 0
+        assert run(ThresholdController(NodeConfig(), 1), frames=100).solver_invocations == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StructuredController(NodeConfig()),
+            lambda: QLearningController(NodeConfig()),
+            lambda: ThresholdController(NodeConfig(), 1),
+        ],
+        ids=["mdp", "ql", "on-off"],
+    )
+    @pytest.mark.parametrize("queue_states", [5, 20])
+    def test_controller_for_another_state_count_is_refused(self, make, queue_states):
+        node = NodeConfig(queue_states=queue_states)
+        with pytest.raises(ValueError, match=f"built for 66 states.* has {node.n_states}"):
+            run(make(), frames=1000, node=node)
 
 
 class TestSchedule:
     def test_parameter_step_changes_the_run(self):
         busier = ScheduleChange(50.0, "app_packet_prob", (0.5, 1.0))
-        base = run(ThresholdController(3), frames=2000)
-        stepped = run(ThresholdController(3), frames=2000, schedule=(busier,))
+        base = run(ThresholdController(NodeConfig(), 3), frames=2000)
+        stepped = run(ThresholdController(NodeConfig(), 3), frames=2000, schedule=(busier,))
         assert stepped.packets_generated > base.packets_generated
 
     def test_step_beyond_the_run_is_inert(self):
         late = ScheduleChange(1e9, "app_packet_prob", (0.5, 1.0))
-        base = run(ThresholdController(3), frames=2000)
-        same = run(ThresholdController(3), frames=2000, schedule=(late,))
+        base = run(ThresholdController(NodeConfig(), 3), frames=2000)
+        same = run(ThresholdController(NodeConfig(), 3), frames=2000, schedule=(late,))
         assert base == same
 
     def test_connect_time_step_slows_later_attaches(self):
         slow = ScheduleChange(100.0, "connect_time", 4.0)
-        base = run(ThresholdController(1), frames=20000)
-        stepped = run(ThresholdController(1), frames=20000, schedule=(slow,))
+        base = run(ThresholdController(NodeConfig(), 1), frames=20000)
+        stepped = run(ThresholdController(NodeConfig(), 1), frames=20000, schedule=(slow,))
         assert stepped.avg_latency > base.avg_latency
 
     @pytest.mark.parametrize(
@@ -207,10 +222,20 @@ class TestMakeController:
             assert tuned.reward_weights == (-10.0, 7.0, -100.0)
 
     def test_ql_controllers_with_equal_seed_explore_identically(self):
-        state = NodeState(0, 0, 0)
+        state = NodeState(0, 0, 0).flat(11)
         a, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
         b, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert [a.act(state) for _ in range(20)] == [b.act(state) for _ in range(20)]
+
+    def test_threshold_policy_is_one_action_per_flat_state(self):
+        config = NodeConfig(queue_states=4)
+        controller = ThresholdController(config, 2)
+        assert len(controller.policy) == controller.n_states == config.n_states
+        for s, action in enumerate(controller.policy):
+            state = NodeState.from_flat(s, 4)
+            on = state.queue >= 2 or (state.modem != 0 and state.queue > 0)
+            assert action == int(on)
+            assert controller.act(s) == action
 
     def test_threshold_above_capacity_is_refused(self):
         controller, _ = make_controller("on-off", NodeConfig(), 10)
@@ -241,6 +266,10 @@ class TestSweep:
             expected = "queue_threshold" if p.series == "on-off" else "tx_reward"
             assert p.parameter == expected
             assert p.seeds == 2
+
+    def test_rejects_an_empty_seed_list(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            sweep_series(Scenario(duration_frames=500), "on-off", [2], seeds=())
 
     def test_single_value_sweep(self):
         points = sweep_series(
