@@ -50,15 +50,40 @@ def _add_config_arg(parser):
     )
 
 
+def _add_run_args(parser):
+    """Options shared by the commands that run controllers through a scenario."""
+    _add_config_arg(parser)
+    parser.add_argument("--duration", type=float, help="override the duration (seconds)")
+    parser.add_argument("--alpha", type=float, default=0.1, help="learning rate")
+    parser.add_argument("--epsilon", type=float, default=0.05, help="exploration rate")
+    parser.add_argument(
+        "--epsilon-decay", type=float, default=DEFAULT_EPSILON_DECAY,
+        help="per-frame exploration decay (1.0 for constant epsilon)",
+    )
+    parser.add_argument(
+        "--solve-period", type=float, default=3600.0, help="seconds between re-solves"
+    )
+
+
+def _run_inputs(args):
+    """The scenario and the controller options that the shared run options give."""
+    scenario = load_scenario(args.config)
+    if args.duration is not None:
+        frames = floor_frames(args.duration, scenario.node.frame_period)
+        scenario = replace(scenario, duration_frames=frames)
+    options = dict(alpha=args.alpha, epsilon=args.epsilon, solve_period=args.solve_period,
+                   epsilon_decay=args.epsilon_decay)
+    return scenario, options
+
+
 def _tuned_node(node, args):
-    if getattr(args, "r2", None) is not None:
-        w1, _, w3 = node.reward_weights
-        node = replace(node, reward_weights=(w1, args.r2, w3))
-    if getattr(args, "beta", None) is not None:
-        node = replace(node, discount=args.beta)
-    if getattr(args, "tau", None) is not None:
-        node = replace(node, tolerance=args.tau)
-    return node
+    w1, w2, w3 = node.reward_weights
+    return replace(
+        node,
+        reward_weights=(w1, w2 if args.r2 is None else args.r2, w3),
+        discount=node.discount if args.beta is None else args.beta,
+        tolerance=node.tolerance if args.tau is None else args.tau,
+    )
 
 
 def _cmd_solve(args):
@@ -67,9 +92,9 @@ def _cmd_solve(args):
     spec = build_mdp(node)
     result = svi_solve(spec, max_iterations=args.max_iterations)
     cost = solve_cost(result)
-    k_nz = result.k_nz
+    sparsity = storage_report(node.n_states, N_ACTIONS, result.k_nz).sparsity
     print(f"states={node.n_states} actions={N_ACTIONS} rows={node.n_states * N_ACTIONS}")
-    print(f"nonzeros={k_nz} sparsity={1 - k_nz / (node.n_states**2 * N_ACTIONS):.4f}")
+    print(f"nonzeros={result.k_nz} sparsity={sparsity:.4f}")
     print(f"iterations={result.iterations} final_delta={result.final_delta:.3e}")
     print(
         f"macs sparse={cost.sparse_macs} dense={cost.dense_macs} "
@@ -87,26 +112,13 @@ def _cmd_solve(args):
 
 
 def _cmd_simulate(args):
-    scenario = load_scenario(args.config)
+    scenario, options = _run_inputs(args)
     node = _tuned_node(scenario.node, args)
-    scenario = replace(scenario, node=node)
-    if args.duration is not None:
-        scenario = replace(
-            scenario, duration_frames=floor_frames(args.duration, node.frame_period)
-        )
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     value = args.queue_threshold if args.method == "on-off" else node.reward_weights[1]
     controller, tuned = make_controller(
-        args.method,
-        scenario.node,
-        value,
-        seed=scenario.seed,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        solve_period=args.solve_period,
-        ql_discount=args.ql_beta,
-        epsilon_decay=args.epsilon_decay,
+        args.method, node, value, seed=scenario.seed, ql_discount=args.ql_beta, **options
     )
     metrics = simulate(replace(scenario, node=tuned), controller)
     print(f"method={args.method} seed={scenario.seed} frames={metrics.frames}")
@@ -133,23 +145,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep(args):
-    scenario = load_scenario(args.config)
-    seeds = tuple(range(args.seeds))
-    if args.duration is not None:
-        scenario = replace(
-            scenario,
-            duration_frames=floor_frames(args.duration, scenario.node.frame_period),
-        )
+    scenario, options = _run_inputs(args)
     points = pareto_sweep(
         scenario,
         series=args.methods,
         r2_values=args.r2_values,
         nq_values=args.nq_values,
-        seeds=seeds,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        solve_period=args.solve_period,
-        epsilon_decay=args.epsilon_decay,
+        seeds=tuple(range(args.seeds)),
+        **options,
     )
     if args.out == "-":
         write_sweep_csv(points, sys.stdout)
@@ -224,32 +227,22 @@ def build_parser():
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run one controller through a scenario")
-    _add_config_arg(p_sim)
+    _add_run_args(p_sim)
     p_sim.add_argument("--method", choices=SERIES_LABELS, default="mdp")
     p_sim.add_argument("--seed", type=int, help="override the scenario seed")
-    p_sim.add_argument("--duration", type=float, help="override the duration (seconds)")
     p_sim.add_argument("--r2", type=float, help="override the per-packet reward weight")
     p_sim.add_argument("--beta", type=float, help="override the planning discount")
     p_sim.add_argument("--tau", type=float, help="override the solver tolerance")
     p_sim.add_argument(
         "--queue-threshold", type=int, default=3, help="threshold for --method on-off"
     )
-    p_sim.add_argument("--alpha", type=float, default=0.1, help="learning rate")
-    p_sim.add_argument("--epsilon", type=float, default=0.05, help="exploration rate")
-    p_sim.add_argument(
-        "--solve-period", type=float, default=3600.0, help="seconds between re-solves"
-    )
     p_sim.add_argument(
         "--ql-beta", type=float, help="Q-learning discount (defaults to the planning one)"
-    )
-    p_sim.add_argument(
-        "--epsilon-decay", type=float, default=DEFAULT_EPSILON_DECAY,
-        help="per-frame exploration decay (1.0 for constant epsilon)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="latency/energy trade-off sweep, CSV out")
-    _add_config_arg(p_sweep)
+    _add_run_args(p_sweep)
     p_sweep.add_argument(
         "--methods",
         nargs="+",
@@ -268,11 +261,6 @@ def build_parser():
     p_sweep.add_argument(
         "--seeds", type=int, default=len(DEFAULT_SEEDS), help="seeds 0..N-1 to average"
     )
-    p_sweep.add_argument("--duration", type=float, help="override the duration (seconds)")
-    p_sweep.add_argument("--alpha", type=float, default=0.1)
-    p_sweep.add_argument("--epsilon", type=float, default=0.05)
-    p_sweep.add_argument("--epsilon-decay", type=float, default=DEFAULT_EPSILON_DECAY)
-    p_sweep.add_argument("--solve-period", type=float, default=3600.0)
     p_sweep.add_argument("--out", default="-", help="CSV path, or '-' for stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -11,21 +11,21 @@ default's type (``frame_period = 0.1``).  Scenario keys are ``duration``
 <parameter> = <value>``; :class:`compactmdp.sim.ScheduleChange` decides which
 parameters and times are allowed.
 
-Unknown keys are an error so typos fail loudly.  Every fault found on a line is
-a :class:`ConfigError` naming that line.  The packaged ``default_scenario.cfg``
+Unknown keys are an error so typos fail loudly.  Values are checked where they
+are built, by ``NodeConfig`` and ``Scenario``; every fault is a :class:`ConfigError`
+naming the line that set what it concerns.  The packaged ``default_scenario.cfg``
 documents every key and is what ``load_scenario("default")`` returns.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .node import NodeConfig, floor_frames
-from .sim import Scenario, ScheduleChange, apply_change
+from .node import NodeConfig, NodeConfigError, floor_frames
+from .sim import Scenario, ScheduleChange, ScheduleError
 
 DEFAULT_NAME = "default"
 
@@ -60,14 +60,9 @@ def _parse_value(key, text, sample=None):
                 f"{key} expects {type(sample).__name__}, got {text!r}"
             ) from None
     if isinstance(sample[0], tuple):
-        rows = tuple(
+        return tuple(
             _parse_value(key, row, sample[0]) for row in text.split(";") if row.strip()
         )
-        if len({len(row) for row in rows}) > 1:
-            raise ValueError(
-                f"{key} rows have unequal lengths {[len(row) for row in rows]}"
-            )
-        return rows
     return tuple(_parse_value(key, token, sample[0]) for token in text.split())
 
 
@@ -84,12 +79,25 @@ def _parse_change(line):
     return ScheduleChange(time, parts[3], _parse_value(parts[3], value_text.strip()))
 
 
+def _node_error(exc, node_fields):
+    """``exc``'s faults as one :class:`ConfigError`, each named by the line that set
+    the first of its fields the file sets (no line if it sets none)."""
+    by_line = {}
+    for names, message in exc.faults:
+        lineno = next((node_fields[n][0] for n in names if n in node_fields), 0)
+        by_line.setdefault(lineno, []).append(message)
+    return ConfigError("; ".join(
+        (f"line {n}: " if n else "") + "invalid node config: " + "; ".join(messages)
+        for n, messages in sorted(by_line.items())
+    ))
+
+
 def parse_scenario(text):
     """Parse scenario file contents into a :class:`~compactmdp.sim.Scenario`."""
     scenario = Scenario()
-    node_fields = {}
+    node_fields = {}  # key: (line number, value)
     duration = None
-    changes = []
+    changes = []  # (line number, change)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,32 +116,24 @@ def parse_scenario(text):
             elif key == "duration":
                 duration = (lineno, value)
             else:
-                node_fields[key] = value
+                node_fields[key] = (lineno, value)
 
-    node = replace(NodeConfig(), **node_fields)
     try:
-        node.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # Each change, applied in time order on top of the ones before it, must
-    # leave a valid node, as it will when the simulator applies it.
-    in_force = node
-    for lineno, change in sorted(changes, key=lambda item: item[1].time):
-        with _on_line(lineno):
-            in_force = apply_change(in_force, change)
-    scenario = replace(
-        scenario, node=node, schedule=tuple(change for _, change in changes)
-    )
+        node = NodeConfig(**{key: value for key, (_, value) in node_fields.items()})
+    except NodeConfigError as exc:
+        raise _node_error(exc, node_fields) from exc
+    frames = scenario.duration_frames
     if duration is not None:
         lineno, seconds = duration
         with _on_line(lineno):
-            if not math.isfinite(seconds):
-                raise ValueError(f"duration {seconds} is not finite")
             frames = floor_frames(seconds, node.frame_period)
             if frames < 1:
                 raise ValueError(f"duration {seconds} is shorter than one frame")
-        scenario = replace(scenario, duration_frames=frames)
-    return scenario
+    schedule = tuple(change for _, change in changes)
+    try:
+        return replace(scenario, node=node, duration_frames=frames, schedule=schedule)
+    except ScheduleError as exc:
+        raise ConfigError(f"line {changes[exc.index][0]}: {exc}") from exc
 
 
 def default_scenario_text():

@@ -4,9 +4,9 @@ Three policies share one frame-stepped protocol over the flat state index
 ``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
 layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
 an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
-frame's outcome.  Each controller declares the ``n_states`` it was built for,
-and :func:`compactmdp.sim.simulate` checks it against the scenario before
-frame 0.
+frame's outcome.  Each controller keeps the (valid by construction) ``config``
+it was built for, whose layout :func:`compactmdp.sim.simulate` checks against
+the scenario's before frame 0; a constructor checks only its own parameters.
 
 * :class:`ThresholdController` — the classic duty-cycling rule: connect when
   the queue reaches a threshold, stay up until it is empty.
@@ -131,7 +131,6 @@ class ThresholdController:
     """
 
     def __init__(self, config, queue_threshold):
-        config.validate()
         if queue_threshold < 1:
             raise ValueError(f"queue_threshold must be >= 1, got {queue_threshold}")
         if queue_threshold > config.capacity:
@@ -139,6 +138,7 @@ class ThresholdController:
                 f"queue threshold {queue_threshold} is above the queue capacity "
                 f"{config.capacity}; the modem would never connect"
             )
+        self.config = config
         self.queue_threshold = queue_threshold
         self.n_states = config.n_states
         self.policy = [
@@ -171,14 +171,12 @@ class StructuredController:
 
     def __init__(self, config, solve_period=3600.0, alpha=0.1,
                  max_iterations=DEFAULT_MAX_ITERATIONS):
-        config.validate()
         self.config = config
         self.solve_period_frames = floor_frames(solve_period, config.frame_period)
         if self.solve_period_frames < 1:
             raise ValueError(f"solve_period {solve_period} shorter than one frame")
         self.max_iterations = max_iterations
         self.estimates = ParameterEstimates.from_config(config, alpha=alpha)
-        self.n_states = config.n_states
         # All-off until the first successful solve.
         self.policy = [ACTION_OFF] * config.n_states
         self.solve_count = 0
@@ -242,7 +240,6 @@ class QLearningController:
 
     def __init__(self, config, alpha=0.1, epsilon=0.05, discount=0.95,
                  epsilon_decay=1.0, seed=None):
-        config.validate()
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 <= epsilon <= 1.0:

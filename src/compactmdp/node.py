@@ -18,6 +18,10 @@ application may emit a packet, and the queue then drains by up to
 arrival (dropping on overflow) otherwise.  The transition factors below encode
 exactly those semantics, and the simulator in :mod:`compactmdp.sim` steps the
 same way, so the model is the simulator's exact marginal.
+
+A :class:`NodeConfig` is checked once, when it is built (or ``replace``-d), so
+the functions here check only their own extra arguments, such as a ``sigma``
+or ``rho`` override.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ def floor_frames(seconds, frame_period):
     if not 0.0 < frame_period < math.inf:
         raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
     if not math.isfinite(seconds):
-        raise ValueError(f"a duration must be finite, got {seconds} s")
+        raise ValueError(f"duration {seconds} is not finite")
     return int(math.floor(seconds / frame_period + _FLOOR_GUARD))
 
 
@@ -148,42 +152,56 @@ class NodeConfig:
     def n_states(self):
         return self.n_app_modes * self.queue_states * N_MODEM_STATES
 
-    def validate(self):
-        """Raise ``ValueError`` listing every problem; every float must be finite."""
-        problems = []
+    def __post_init__(self):
+        """Raise :class:`NodeConfigError` naming every fault; every float must be finite."""
+        faults = []
+
+        def fault(message, *names):
+            faults.append((names, message))
+
         if not 2 <= self.queue_states:
-            problems.append(f"queue_states must be >= 2, got {self.queue_states}")
+            fault(f"queue_states must be >= 2, got {self.queue_states}", "queue_states")
         if not 1 <= self.n_app_modes:
-            problems.append("app_packet_prob must name at least one mode")
-        problems += app_transition_problems(self.app_transition, self.n_app_modes)
+            fault("app_packet_prob must name at least one mode", "app_packet_prob")
+        # The mode count app_packet_prob sets fixes the matrix's shape.
+        for message in app_transition_problems(self.app_transition, self.n_app_modes):
+            fault(message, "app_transition", "app_packet_prob")
         for i, p in enumerate(self.app_packet_prob):
             if not 0.0 <= p <= 1.0:
-                problems.append(f"app_packet_prob[{i}]={p} outside [0, 1]")
+                fault(f"app_packet_prob[{i}]={p} outside [0, 1]", "app_packet_prob")
         if not 0.0 < self.frame_period < math.inf:
-            problems.append(f"frame_period must be finite and > 0, got {self.frame_period}")
+            fault(f"frame_period must be finite and > 0, got {self.frame_period}", "frame_period")
         elif not self.frame_period <= self.connect_time < math.inf:
-            problems.append(
-                f"connect_time {self.connect_time} infinite or shorter than one frame"
-            )
+            fault(f"connect_time {self.connect_time} infinite or shorter than one frame",
+                  "connect_time", "frame_period")
         if len(self.currents_ma) != N_MODEM_STATES:
-            problems.append("currents_ma must give one value per modem state")
+            fault("currents_ma must give one value per modem state", "currents_ma")
         elif not all(0.0 <= c < math.inf for c in self.currents_ma):
-            problems.append(f"currents_ma must be finite and >= 0, got {self.currents_ma}")
+            fault(f"currents_ma must be finite and >= 0, got {self.currents_ma}", "currents_ma")
         if not 0.0 <= self.current_scale < math.inf:
-            problems.append(f"current_scale must be finite and >= 0, got {self.current_scale}")
+            fault(f"current_scale must be finite and >= 0, got {self.current_scale}",
+                  "current_scale")
         if not 1 <= self.tx_per_frame:
-            problems.append(f"tx_per_frame must be >= 1, got {self.tx_per_frame}")
+            fault(f"tx_per_frame must be >= 1, got {self.tx_per_frame}", "tx_per_frame")
         if len(self.reward_weights) != 3:
-            problems.append("reward_weights must be (current, tx, drop)")
-        if not all(map(math.isfinite, (*self.reward_weights, self.energy_c1, self.energy_c2))):
-            problems.append("reward_weights, energy_c1 and energy_c2 must be finite")
+            fault("reward_weights must be (current, tx, drop)", "reward_weights")
+        if non_finite := [name for name in ("reward_weights", "energy_c1", "energy_c2")
+                          if not np.isfinite(getattr(self, name)).all()]:
+            fault("reward_weights, energy_c1 and energy_c2 must be finite", *non_finite)
         if not 0.0 <= self.discount < 1.0:
-            problems.append(f"discount must be in [0, 1), got {self.discount}")
+            fault(f"discount must be in [0, 1), got {self.discount}", "discount")
         if not 0.0 < self.tolerance < math.inf:
-            problems.append(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if problems:
-            raise ValueError("invalid node config: " + "; ".join(problems))
-        return self
+            fault(f"tolerance must be finite and > 0, got {self.tolerance}", "tolerance")
+        if faults:
+            raise NodeConfigError(faults)
+
+
+class NodeConfigError(ValueError):
+    """An invalid node: ``faults`` pairs each message with its fields, main one first."""
+
+    def __init__(self, faults):
+        self.faults = tuple(faults)
+        super().__init__("invalid node config: " + "; ".join(m for _, m in faults))
 
 
 def app_transition_problems(sigma, n_modes):
@@ -264,7 +282,6 @@ def assemble_stm(config, sigma=None, rho=None):
     -------
     ndarray, shape (n_states * 2, n_states)
     """
-    config.validate()
     if sigma is None:
         sigma = config.app_transition
     elif problems := app_transition_problems(sigma, config.n_app_modes):
@@ -309,7 +326,6 @@ def reward_vector(config, rho=None):
     -------
     ndarray, shape (n_states * 2,)
     """
-    config.validate()
     if rho is None:
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
     modem = modem_stm(rho)

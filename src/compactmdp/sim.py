@@ -12,6 +12,9 @@ Scenarios can change the true environment parameters mid-run (attach delay,
 app-mode statistics, packet probabilities) through a piecewise-constant
 schedule, which is what makes runtime learning worth measuring.
 
+A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``;
+:func:`simulate` checks only that the controller fits the scenario's layout.
+
 The power model at the bottom turns per-solve and per-frame energy costs into
 average power draws and solves for the update period at which two controller
 implementations break even.
@@ -86,9 +89,21 @@ class ScheduleChange:
             raise ValueError(f"schedule time must be finite and >= 0, got {self.time}")
 
 
+class ScheduleError(ValueError):
+    """A change, ``Scenario.schedule[index]``, that leaves an invalid node."""
+
+    def __init__(self, index, message):
+        self.index = index
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A node config plus run length, seed (>= 0), and environment schedule."""
+    """A node config plus run length (>= 1 frame), seed (>= 0), and schedule.
+
+    Each change, applied in time order on top of the earlier ones, must leave a
+    valid node; ``_steps`` keeps that walk as ``[(first frame, config), ...]``.
+    """
 
     node: NodeConfig = field(default_factory=NodeConfig)
     duration_frames: int = 270000
@@ -98,6 +113,18 @@ class Scenario:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.duration_frames < 1:
+            raise ValueError(f"duration_frames must be >= 1, got {self.duration_frames}")
+        config = self.node
+        steps = [(0, config)]
+        for index, change in sorted(enumerate(self.schedule), key=lambda item: item[1].time):
+            try:
+                config = replace(config, **{change.parameter: change.value})
+            except ValueError as exc:
+                message = f"schedule change at {change.time:g} s ({change.parameter}): {exc}"
+                raise ScheduleError(index, message) from exc
+            steps.append((floor_frames(change.time, config.frame_period), config))
+        object.__setattr__(self, "_steps", tuple(steps))
 
     @property
     def duration_seconds(self):
@@ -131,29 +158,6 @@ class SimMetrics:
     solver_kernel_ops: int
 
 
-def apply_change(node, change):
-    """``node`` with one schedule change applied, checked by ``NodeConfig.validate``."""
-    return replace(node, **{change.parameter: change.value}).validate()
-
-
-def _environment_steps(config, schedule):
-    """``[(first frame, config in force), ...]`` in time order, from frame 0.
-
-    Each change is applied on top of the ones before it (ties keep their
-    given order) and validated, so a bad value fails here, before frame 0.
-    """
-    steps = [(0, config)]
-    for change in sorted(schedule, key=lambda c: c.time):
-        try:
-            config = apply_change(config, change)
-        except ValueError as exc:
-            raise ValueError(
-                f"schedule change at {change.time:g} s ({change.parameter}): {exc}"
-            ) from exc
-        steps.append((floor_frames(change.time, config.frame_period), config))
-    return steps
-
-
 def _exogenous_trace(seed, frames, steps):
     """The controller-independent part of a run, drawn up front.
 
@@ -161,8 +165,8 @@ def _exogenous_trace(seed, frames, steps):
     frame ``f`` (``frames + 1`` entries, starting in mode 0) and
     ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``.
     Both hold one byte per frame (the path for up to 256 modes).  ``steps``
-    is the environment schedule from :func:`_environment_steps`; only its
-    ``app_transition`` and ``app_packet_prob`` matter here.
+    is a scenario's ``_steps``; only their ``app_transition`` and
+    ``app_packet_prob`` matter here.
     """
     ends = [at for at, _ in steps[1:]] + [frames]
     segments = [
@@ -213,23 +217,22 @@ def simulate(scenario, controller):
     runs with equal (scenario, controller state, seeds) are bitwise identical,
     and different controllers at the same seed face the same arrival/mode
     sample path.  That path (app modes and packet arrivals, under the
-    schedule) is drawn up front, before frame 0, together with the check of
-    every schedule change; the frame loop then only steps the modem and the
-    queue and calls the controller once to ``act`` and once to ``observe``,
-    with flat state indices.  A controller that declares ``n_states`` must
-    have been built for the scenario's state count.
+    schedule) is drawn up front, before frame 0; the frame loop then only
+    steps the modem and the queue and calls the controller once to ``act``
+    and once to ``observe``, with flat state indices.  A controller that keeps
+    the ``config`` it was built for must match the scenario's app modes and
+    queue levels.
     """
-    config = scenario.node.validate()
+    config = scenario.node
     frames = scenario.duration_frames
-    if frames < 1:
-        raise ValueError(f"duration_frames must be >= 1, got {frames}")
-    n_states = getattr(controller, "n_states", config.n_states)
-    if n_states != config.n_states:
+    built = getattr(controller, "config", config)
+    if (built.n_app_modes, built.queue_states) != (config.n_app_modes, config.queue_states):
         raise ValueError(
-            f"controller is built for {n_states} states, "
-            f"the scenario's node has {config.n_states}"
+            f"controller is built for {built.n_states} states ({built.n_app_modes} app "
+            f"modes x {built.queue_states} queue levels), the scenario's node has "
+            f"{config.n_states} ({config.n_app_modes} x {config.queue_states})"
         )
-    steps = _environment_steps(config, scenario.schedule)
+    steps = scenario._steps
     app_path, arrivals = _exogenous_trace(scenario.seed, frames, steps)
 
     frame_period = config.frame_period
@@ -398,20 +401,13 @@ def sweep_series(scenario, series, values, seeds=DEFAULT_SEEDS, **controller_kwa
             )
             run_scenario = replace(scenario, node=tuned, seed=seed)
             runs.append(simulate(run_scenario, controller))
-        points.append(
-            SweepPoint(
-                series=series,
-                parameter=parameter,
-                value=float(value),
-                seeds=len(seeds),
-                avg_latency=float(np.mean([r.avg_latency for r in runs])),
-                energy_per_packet=float(np.mean([r.energy_per_packet for r in runs])),
-                packets_generated=float(np.mean([r.packets_generated for r in runs])),
-                packets_transmitted=float(np.mean([r.packets_transmitted for r in runs])),
-                packets_dropped=float(np.mean([r.packets_dropped for r in runs])),
-                reward_total=float(np.mean([r.reward_total for r in runs])),
-            )
-        )
+        # Each averaged SweepPoint field is named after its SimMetrics field.
+        means = {
+            name: float(np.mean([getattr(r, name) for r in runs]))
+            for name in ("avg_latency", "energy_per_packet", "packets_generated",
+                         "packets_transmitted", "packets_dropped", "reward_total")
+        }
+        points.append(SweepPoint(series, parameter, float(value), len(seeds), **means))
     return points
 
 

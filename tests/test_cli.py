@@ -158,6 +158,14 @@ class TestErrorHandling:
         assert code == 1
         assert "discount" in err
 
+    def test_node_fault_names_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = 1\ndiscount = 1.5\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err == "error: line 2: invalid node config: discount must be in [0, 1), got 1.5\n"
+
     def test_threshold_above_capacity_is_a_clean_failure(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--methods", "on-off", "--nq-values", "50",

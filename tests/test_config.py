@@ -5,7 +5,8 @@ from dataclasses import fields
 import pytest
 
 from compactmdp import ConfigError, NodeConfig, load_scenario, parse_scenario
-from compactmdp.config import default_scenario_text
+from compactmdp.config import _node_error, default_scenario_text
+from compactmdp.node import NodeConfigError
 from support import render
 
 #: A valid node that differs from the defaults in every field.
@@ -190,6 +191,63 @@ class TestParseScenario:
     def test_fault_on_a_line_names_the_line(self, line, problem):
         with pytest.raises(ConfigError, match=f"^line 2: .*{problem}"):
             parse_scenario(f"seed = 1\n{line}\nqueue_states = 6\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "queue_states = 1",
+            "app_packet_prob =",
+            "app_transition = 0.9 0.2 ; 0.3 0.7",
+            "app_transition = 1 0 0 ; 0 1 0 ; 0 0 1",
+            "app_packet_prob = 0.05 1.5",
+            "app_packet_prob = 0.5",
+            "frame_period = -0.1",
+            "connect_time = 0.05",
+            "currents_ma = 0 120",
+            "currents_ma = 0 -1 1",
+            "current_scale = -1",
+            "tx_per_frame = 0",
+            "reward_weights = 1 2",
+            "energy_c2 = nan",
+            "discount = 1.5",
+            "tolerance = 0",
+        ],
+    )
+    def test_node_fault_names_the_line_that_set_the_field(self, line):
+        with pytest.raises(ConfigError, match="^line 2: .*invalid node config"):
+            parse_scenario(f"seed = 1\n{line}\nduration = 10\n")
+
+    def test_node_fault_reads_as_the_line_and_the_rule(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario("seed = 1\ndiscount = 1.5\n")
+        assert str(caught.value) == (
+            "line 2: invalid node config: discount must be in [0, 1), got 1.5"
+        )
+
+    def test_cross_field_fault_names_the_line_that_was_set(self):
+        # connect_time keeps its 2.0 s default, so frame_period's line is named.
+        with pytest.raises(ConfigError, match="^line 2: .*connect_time 2.0 .*shorter"):
+            parse_scenario("seed = 1\nframe_period = 3\nqueue_states = 6\n")
+
+    def test_faults_on_several_lines_name_each_line(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_scenario("tolerance = 0\nseed = 1\ndiscount = 1.5\n")
+        assert str(caught.value) == (
+            "line 1: invalid node config: tolerance must be finite and > 0, got 0.0; "
+            "line 3: invalid node config: discount must be in [0, 1), got 1.5"
+        )
+
+    def test_fault_in_fields_the_file_never_set_names_no_line(self):
+        fault = NodeConfigError([(("discount",), "discount must be in [0, 1), got 1.5")])
+        assert str(_node_error(fault, {"tolerance": (2, 1e-8)})) == (
+            "invalid node config: discount must be in [0, 1), got 1.5"
+        )
+
+    def test_bad_schedule_line_is_named_not_the_node_line_it_conflicts_with(self):
+        # The change is checked against the node once the whole file is read;
+        # the fault is the change's, on line 2, not frame_period's on line 3.
+        with pytest.raises(ConfigError, match="^line 2: .*shorter than one frame"):
+            parse_scenario("seed = 1\nat 10 set connect_time = 0.5\nframe_period = 1.0\n")
 
     def test_schedule_changes_are_checked_in_time_order(self):
         # Three modes arrive in two steps; each step must be valid once the

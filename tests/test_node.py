@@ -90,7 +90,7 @@ def app_matrix_entry_points(sigma):
     """Each way an app-mode transition matrix enters the model, as a callable:
     the config, the sigma override of ``assemble_stm`` and the planner's estimate."""
     return [
-        lambda: NodeConfig(app_transition=sigma).validate(),
+        lambda: NodeConfig(app_transition=sigma),
         lambda: assemble_stm(NodeConfig(), sigma=sigma),
         lambda: ParameterEstimates(sigma, connect_time_hat=2.0),
     ]
@@ -107,7 +107,6 @@ class TestAppFactor:
     def test_accepts_and_returns_matrix(self):
         sigma = [[0.9, 0.1], [0.2, 0.8]]
         config = NodeConfig(app_transition=((0.9, 0.1), (0.2, 0.8)))
-        assert config.validate() is config
         assert_array_equal(assemble_stm(NodeConfig(), sigma=sigma), assemble_stm(config))
         assert_allclose(ParameterEstimates(sigma, connect_time_hat=2.0).sigma_hat, sigma)
 
@@ -284,7 +283,7 @@ class TestNodeConfig:
     )
     def test_validation_rejects(self, overrides):
         with pytest.raises(ValueError):
-            NodeConfig(**overrides).validate()
+            NodeConfig(**overrides)
 
 
 def per_cell_stm(config, sigma, rho):

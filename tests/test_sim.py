@@ -155,6 +155,17 @@ class TestConservationAndDeterminism:
         with pytest.raises(ValueError, match=f"built for 66 states.* has {node.n_states}"):
             run(make(), frames=1000, node=node)
 
+    def test_controller_for_another_layout_of_the_same_size_is_refused(self):
+        # 1 mode x 22 levels and 2 modes x 11 levels are both 66 states; a
+        # 2 x 11 threshold rule would read the queue level off the wrong cells.
+        node = NodeConfig(app_packet_prob=(0.3,), app_transition=((1.0,),), queue_states=22)
+        with pytest.raises(ValueError, match=r"\(2 app modes x 11 queue levels\).* \(1 x 22\)"):
+            run(ThresholdController(NodeConfig(), 10), frames=20000, node=node)
+
+    def test_undeclared_controller_is_not_checked(self):
+        node = NodeConfig(queue_states=4)
+        assert run(AlwaysOnController(), frames=100, node=node).frames == 100
+
 
 class TestSchedule:
     def test_parameter_step_changes_the_run(self):
