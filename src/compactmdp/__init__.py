@@ -25,7 +25,6 @@ from .controllers import (
     QLearningController,
     StructuredController,
     ThresholdController,
-    learnable_parameter_count,
     td_update,
 )
 from .core import (
@@ -117,7 +116,6 @@ __all__ = [
     "dense_value_iteration",
     "energy_per_transaction",
     "inf_norm_diff",
-    "learnable_parameter_count",
     "load_scenario",
     "make_controller",
     "max_reduce",

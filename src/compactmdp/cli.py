@@ -19,10 +19,13 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, load_scenario
-from .controllers import ParameterEstimates, learnable_parameter_count
+from .controllers import (
+    DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_SOLVE_PERIOD, QLearningController,
+    StructuredController,
+)
 from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from .node import (
-    ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
+    ACTION_ON, N_ACTIONS, N_MODEM_STATES, NodeConfig, build_mdp, floor_frames, stm_nonzeros,
 )
 from .sim import (
     DEFAULT_EPSILON_DECAY,
@@ -54,15 +57,28 @@ def _add_run_args(parser):
     """Options shared by the commands that run controllers through a scenario."""
     _add_config_arg(parser)
     parser.add_argument("--duration", type=float, help="override the duration (seconds)")
-    parser.add_argument("--alpha", type=float, default=0.1, help="learning rate")
-    parser.add_argument("--epsilon", type=float, default=0.05, help="exploration rate")
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="learning rate")
+    parser.add_argument(
+        "--epsilon", type=float, default=DEFAULT_EPSILON, help="exploration rate"
+    )
     parser.add_argument(
         "--epsilon-decay", type=float, default=DEFAULT_EPSILON_DECAY,
         help="per-frame exploration decay (1.0 for constant epsilon)",
     )
     parser.add_argument(
-        "--solve-period", type=float, default=3600.0, help="seconds between re-solves"
+        "--solve-period", type=float, default=DEFAULT_SOLVE_PERIOD,
+        help="seconds between re-solves",
     )
+
+
+def _add_model_args(parser):
+    """Overrides of the node's planning parameters, applied by :func:`_tuned_node`."""
+    parser.add_argument("--r2", type=float, help="override the per-packet reward weight")
+    parser.add_argument(
+        "--beta", type=float,
+        help="override the discount factor (the planner and Q-learning both use it)",
+    )
+    parser.add_argument("--tau", type=float, help="override the solver tolerance")
 
 
 def _run_inputs(args):
@@ -118,7 +134,7 @@ def _cmd_simulate(args):
         scenario = replace(scenario, seed=args.seed)
     value = args.queue_threshold if args.method == "on-off" else node.reward_weights[1]
     controller, tuned = make_controller(
-        args.method, node, value, seed=scenario.seed, ql_discount=args.ql_beta, **options
+        args.method, node, value, seed=scenario.seed, **options
     )
     metrics = simulate(replace(scenario, node=tuned), controller)
     print(f"method={args.method} seed={scenario.seed} frames={metrics.frames}")
@@ -199,14 +215,9 @@ def _cmd_power(args):
         shown = "none" if period is None else f"{period:.6g}"
         print(f"crossover {a} vs {b}: period_s={shown}")
     node = load_scenario().node
-    theta_size = ParameterEstimates.from_config(node).size
-    counts = (
-        learnable_parameter_count("ql", node.n_states, N_ACTIONS),
-        learnable_parameter_count(
-            "structured", node.n_states, N_ACTIONS, theta_size=theta_size
-        ),
-    )
-    print(f"learned_parameters: ql={counts[0]} structured={counts[1]}")
+    ql = len(QLearningController(node).q)
+    structured = StructuredController(node).estimates.size
+    print(f"learned_parameters: ql={ql} structured={structured}")
     return 0
 
 
@@ -220,9 +231,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="solve the node MDP by sparse value iteration")
     _add_config_arg(p_solve)
-    p_solve.add_argument("--r2", type=float, help="override the per-packet reward weight")
-    p_solve.add_argument("--beta", type=float, help="override the discount factor")
-    p_solve.add_argument("--tau", type=float, help="override the convergence tolerance")
+    _add_model_args(p_solve)
     p_solve.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -230,14 +239,9 @@ def build_parser():
     _add_run_args(p_sim)
     p_sim.add_argument("--method", choices=SERIES_LABELS, default="mdp")
     p_sim.add_argument("--seed", type=int, help="override the scenario seed")
-    p_sim.add_argument("--r2", type=float, help="override the per-packet reward weight")
-    p_sim.add_argument("--beta", type=float, help="override the planning discount")
-    p_sim.add_argument("--tau", type=float, help="override the solver tolerance")
+    _add_model_args(p_sim)
     p_sim.add_argument(
         "--queue-threshold", type=int, default=3, help="threshold for --method on-off"
-    )
-    p_sim.add_argument(
-        "--ql-beta", type=float, help="Q-learning discount (defaults to the planning one)"
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -275,8 +279,8 @@ def build_parser():
     p_storage.set_defaults(func=_cmd_storage)
 
     p_power = sub.add_parser("power", help="MCU average power and crossover periods")
-    p_power.add_argument("--update-period", type=float, default=3600.0)
-    p_power.add_argument("--frame-period", type=float, default=0.1)
+    p_power.add_argument("--update-period", type=float, default=DEFAULT_SOLVE_PERIOD)
+    p_power.add_argument("--frame-period", type=float, default=NodeConfig.frame_period)
     p_power.set_defaults(func=_cmd_power)
 
     return parser

@@ -5,8 +5,10 @@ Three policies share one frame-stepped protocol over the flat state index
 layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
 an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
 frame's outcome.  Each controller keeps the (valid by construction) ``config``
-it was built for, whose layout :func:`compactmdp.sim.simulate` checks against
-the scenario's before frame 0; a constructor checks only its own parameters.
+it was built for and reads every model number (layout, frame period, discount)
+off it; :func:`compactmdp.sim.simulate` checks that config's layout and frame
+period against the scenario's before frame 0.  A constructor checks only its
+own parameters.
 
 * :class:`ThresholdController` — the classic duty-cycling rule: connect when
   the queue reaches a threshold, stay up until it is empty.
@@ -14,7 +16,8 @@ the scenario's before frame 0; a constructor checks only its own parameters.
   structure fixed and learns only the few free parameters (app-mode
   statistics and the attach delay), re-solving the MDP on a period.
 * :class:`QLearningController` — model-free tabular Q-learning over the same
-  state space, one learned value per state/action cell.
+  state space, one learned value per state/action cell: ``len(q)`` of them,
+  against the planner's ``estimates.size``.
 """
 
 from __future__ import annotations
@@ -30,12 +33,22 @@ from .node import (
     M_OFF,
     N_ACTIONS,
     N_MODEM_STATES,
+    NodeConfig,
     app_transition_problems,
     build_mdp,
     floor_frames,
     rho_from_connect_time,
 )
 from .solver import svi_solve
+
+#: Seconds between the planner's re-solves: hourly.
+DEFAULT_SOLVE_PERIOD = 3600.0
+
+#: Learning rate of both learning controllers and of the planner's estimates.
+DEFAULT_ALPHA = 0.1
+
+#: Q-learning's exploration rate.
+DEFAULT_EPSILON = 0.05
 
 
 def td_update(estimate, observation, alpha):
@@ -58,7 +71,8 @@ class ParameterEstimates:
     scalar arithmetic; ``sigma_hat`` returns it as a fresh ``(n, n)`` array.
     """
 
-    def __init__(self, sigma_hat, connect_time_hat, alpha=0.1, frame_period=0.1):
+    def __init__(self, sigma_hat, connect_time_hat, alpha=DEFAULT_ALPHA,
+                 frame_period=NodeConfig.frame_period):
         if problems := app_transition_problems(sigma_hat, len(sigma_hat)):
             raise ValueError("invalid sigma_hat: " + "; ".join(problems))
         self._rows = np.asarray(sigma_hat, dtype=float).tolist()
@@ -71,7 +85,7 @@ class ParameterEstimates:
             raise ValueError("connect_time_hat must be at least one frame")
 
     @classmethod
-    def from_config(cls, config, alpha=0.1):
+    def from_config(cls, config, alpha=DEFAULT_ALPHA):
         """Seed the estimates with the design-time priors."""
         return cls(
             sigma_hat=np.asarray(config.app_transition, dtype=float),
@@ -169,7 +183,7 @@ class StructuredController:
     that succeeded.
     """
 
-    def __init__(self, config, solve_period=3600.0, alpha=0.1,
+    def __init__(self, config, solve_period=DEFAULT_SOLVE_PERIOD, alpha=DEFAULT_ALPHA,
                  max_iterations=DEFAULT_MAX_ITERATIONS):
         self.config = config
         self.solve_period_frames = floor_frames(solve_period, config.frame_period)
@@ -181,7 +195,6 @@ class StructuredController:
         self.policy = [ACTION_OFF] * config.n_states
         self.solve_count = 0
         self.total_kernel_ops = 0
-        self.last_result = None
         self.solver_failures = 0
         self._mode_stride = config.queue_states * N_MODEM_STATES
         self._next_solve_frame = 0
@@ -200,7 +213,6 @@ class StructuredController:
             self.solver_failures += 1
             return
         self.policy = result.policy.tolist()
-        self.last_result = result
         self.solve_count += 1
         self.total_kernel_ops += result.kernel_op_count
 
@@ -235,10 +247,10 @@ class QLearningController:
 
     The Q-table is flat action-major (same layout as the stacked MDP rows).
     Greedy ties resolve to the lowest action index, so an untrained table
-    keeps the modem off.
+    keeps the modem off.  It discounts by ``config.discount``, as the planner does.
     """
 
-    def __init__(self, config, alpha=0.1, epsilon=0.05, discount=0.95,
+    def __init__(self, config, alpha=DEFAULT_ALPHA, epsilon=DEFAULT_EPSILON,
                  epsilon_decay=1.0, seed=None):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -246,12 +258,9 @@ class QLearningController:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         if not 0.0 < epsilon_decay <= 1.0:
             raise ValueError(f"epsilon_decay must be in (0, 1], got {epsilon_decay}")
-        if not 0.0 <= discount < 1.0:
-            raise ValueError(f"discount must be in [0, 1), got {discount}")
         self.config = config
         self.alpha = alpha
         self.epsilon = epsilon
-        self.discount = discount
         self.epsilon_decay = epsilon_decay
         self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
@@ -268,24 +277,7 @@ class QLearningController:
         q = self.q
         best_next = max(q[s_next], q[self.n_states + s_next])
         i = action * self.n_states + s
-        q[i] += self.alpha * (reward + self.discount * best_next - q[i])
+        q[i] += self.alpha * (reward + self.config.discount * best_next - q[i])
         if self.epsilon_decay < 1.0:
             self.epsilon *= self.epsilon_decay
 
-
-def learnable_parameter_count(method, n_states, n_actions, theta_size=None):
-    """Number of scalars a controller must learn at runtime.
-
-    ``"ql"`` learns one Q-value per state/action cell.  ``"structured"``
-    learns only its free transition-model parameters (``theta_size``; pass 0
-    for a fully known model).  The threshold rule learns nothing.
-    """
-    if method == "ql":
-        return n_states * n_actions
-    if method == "structured":
-        if theta_size is None:
-            raise ValueError("structured count needs theta_size (0 if fully known)")
-        return theta_size
-    if method == "threshold":
-        return 0
-    raise ValueError(f"unknown method {method!r}")

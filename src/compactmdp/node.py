@@ -302,7 +302,7 @@ def assemble_stm(config, sigma=None, rho=None):
     return stacked
 
 
-def energy_per_transaction(n_packets, c1=6.62, c2=1.55):
+def energy_per_transaction(n_packets, c1=NodeConfig.energy_c1, c2=NodeConfig.energy_c2):
     """Energy in joules for one modem transaction carrying ``n_packets``.
 
     Affine in the packet count: the first packet pays the connection overhead

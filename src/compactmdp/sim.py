@@ -13,7 +13,8 @@ app-mode statistics, packet probabilities) through a piecewise-constant
 schedule, which is what makes runtime learning worth measuring.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``;
-:func:`simulate` checks only that the controller fits the scenario's layout.
+:func:`simulate` checks only that the controller was built for the scenario's
+layout and frame period.
 
 The power model at the bottom turns per-solve and per-frame energy costs into
 average power draws and solves for the update period at which two controller
@@ -41,6 +42,9 @@ from .node import (
     floor_frames,
 )
 from .controllers import (
+    DEFAULT_ALPHA,
+    DEFAULT_EPSILON,
+    DEFAULT_SOLVE_PERIOD,
     QLearningController,
     StructuredController,
     ThresholdController,
@@ -220,17 +224,20 @@ def simulate(scenario, controller):
     schedule) is drawn up front, before frame 0; the frame loop then only
     steps the modem and the queue and calls the controller once to ``act``
     and once to ``observe``, with flat state indices.  A controller that keeps
-    the ``config`` it was built for must match the scenario's app modes and
-    queue levels.
+    the ``config`` it was built for must match the scenario's app modes, queue
+    levels and frame period.
     """
     config = scenario.node
     frames = scenario.duration_frames
     built = getattr(controller, "config", config)
-    if (built.n_app_modes, built.queue_states) != (config.n_app_modes, config.queue_states):
+    if (built.n_app_modes, built.queue_states, built.frame_period) != (
+        config.n_app_modes, config.queue_states, config.frame_period
+    ):
         raise ValueError(
             f"controller is built for {built.n_states} states ({built.n_app_modes} app "
-            f"modes x {built.queue_states} queue levels), the scenario's node has "
-            f"{config.n_states} ({config.n_app_modes} x {config.queue_states})"
+            f"modes x {built.queue_states} queue levels) in {built.frame_period} s frames, "
+            f"the scenario's node has {config.n_states} ({config.n_app_modes} x "
+            f"{config.queue_states}) in {config.frame_period} s frames"
         )
     steps = scenario._steps
     app_path, arrivals = _exogenous_trace(scenario.seed, frames, steps)
@@ -338,14 +345,15 @@ def simulate(scenario, controller):
     )
 
 
-def make_controller(series, config, value, seed=None, alpha=0.1, epsilon=0.05,
-                    solve_period=3600.0, ql_discount=None,
+def make_controller(series, config, value, seed=None, alpha=DEFAULT_ALPHA,
+                    epsilon=DEFAULT_EPSILON, solve_period=DEFAULT_SOLVE_PERIOD,
                     epsilon_decay=DEFAULT_EPSILON_DECAY):
     """Build the controller for one sweep point.
 
     ``series`` follows :data:`SERIES_LABELS`: ``"on-off"`` takes a queue
     threshold, ``"mdp"`` and ``"ql"`` take the reward-per-packet weight (the
-    config's middle reward weight is replaced by ``value``).
+    config's middle reward weight is replaced by ``value``).  Both learning
+    controllers discount by the config's ``discount``.
     """
     if series == "on-off":
         return ThresholdController(config, int(value)), config
@@ -354,7 +362,6 @@ def make_controller(series, config, value, seed=None, alpha=0.1, epsilon=0.05,
     if series == "mdp":
         return StructuredController(tuned, solve_period=solve_period, alpha=alpha), tuned
     if series == "ql":
-        discount = config.discount if ql_discount is None else ql_discount
         # Exploration stream is decoupled from the environment stream, which
         # uses the bare seed.
         return (
@@ -362,13 +369,24 @@ def make_controller(series, config, value, seed=None, alpha=0.1, epsilon=0.05,
                 tuned,
                 alpha=alpha,
                 epsilon=epsilon,
-                discount=discount,
                 epsilon_decay=epsilon_decay,
                 seed=((0 if seed is None else seed), 1),
             ),
             tuned,
         )
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_LABELS}")
+
+
+#: The seed-averaged sweep metrics, each a :class:`SimMetrics` and a
+#: :class:`SweepPoint` field, with its CSV column.
+SWEEP_AVERAGES = (
+    ("avg_latency", "avg_latency_s"),
+    ("energy_per_packet", "energy_per_packet_j"),
+    ("packets_generated", "packets_generated"),
+    ("packets_transmitted", "packets_transmitted"),
+    ("packets_dropped", "packets_dropped"),
+    ("reward_total", "reward_total"),
+)
 
 
 @dataclass(frozen=True)
@@ -401,11 +419,9 @@ def sweep_series(scenario, series, values, seeds=DEFAULT_SEEDS, **controller_kwa
             )
             run_scenario = replace(scenario, node=tuned, seed=seed)
             runs.append(simulate(run_scenario, controller))
-        # Each averaged SweepPoint field is named after its SimMetrics field.
         means = {
             name: float(np.mean([getattr(r, name) for r in runs]))
-            for name in ("avg_latency", "energy_per_packet", "packets_generated",
-                         "packets_transmitted", "packets_dropped", "reward_total")
+            for name, _ in SWEEP_AVERAGES
         }
         points.append(SweepPoint(series, parameter, float(value), len(seeds), **means))
     return points
@@ -428,17 +444,8 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
     return points
 
 
-SWEEP_CSV_COLUMNS = (
-    "series",
-    "parameter",
-    "value",
-    "seeds",
-    "avg_latency_s",
-    "energy_per_packet_j",
-    "packets_generated",
-    "packets_transmitted",
-    "packets_dropped",
-    "reward_total",
+SWEEP_CSV_COLUMNS = ("series", "parameter", "value", "seeds") + tuple(
+    column for _, column in SWEEP_AVERAGES
 )
 
 
@@ -451,20 +458,8 @@ def write_sweep_csv(points, stream):
     writer = csv.writer(stream)
     writer.writerow(SWEEP_CSV_COLUMNS)
     for p in points:
-        writer.writerow(
-            [
-                p.series,
-                p.parameter,
-                _fmt(p.value),
-                p.seeds,
-                _fmt(p.avg_latency),
-                _fmt(p.energy_per_packet),
-                _fmt(p.packets_generated),
-                _fmt(p.packets_transmitted),
-                _fmt(p.packets_dropped),
-                _fmt(p.reward_total),
-            ]
-        )
+        averages = [_fmt(getattr(p, name)) for name, _ in SWEEP_AVERAGES]
+        writer.writerow([p.series, p.parameter, _fmt(p.value), p.seeds, *averages])
 
 
 # --- MCU power model ---------------------------------------------------------
@@ -501,7 +496,8 @@ REFERENCE_POWER_MODELS = {
 }
 
 
-def average_power(model, update_period=3600.0, frame_period=0.1):
+def average_power(model, update_period=DEFAULT_SOLVE_PERIOD,
+                  frame_period=NodeConfig.frame_period):
     """Average controller power: solver amortized over its period, frame cost
     amortized over the frame, plus the sleep floor."""
     if frame_period <= 0:
@@ -516,7 +512,7 @@ def average_power(model, update_period=3600.0, frame_period=0.1):
     return solver_power + model.frame_cost / frame_period + model.sleep_power
 
 
-def crossover_period(a, b, frame_period=0.1):
+def crossover_period(a, b, frame_period=NodeConfig.frame_period):
     """Update period at which models ``a`` and ``b`` draw equal average power.
 
     Solves ``average_power(a, T) == average_power(b, T)`` for ``T``.  Returns

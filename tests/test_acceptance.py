@@ -30,7 +30,6 @@ from compactmdp import (
     crossover_period,
     dense_value_iteration,
     energy_per_transaction,
-    learnable_parameter_count,
     load_scenario,
     pareto_sweep,
     simulate,
@@ -312,9 +311,6 @@ def test_criterion_09_simulation_invariants():
 def test_criterion_10_learned_parameter_counts():
     with Criterion(10, "learned parameter counts") as c:
         config = NodeConfig()
-        assert learnable_parameter_count("ql", config.n_states, 2) == 132
-        theta = ParameterEstimates.from_config(config).size
-        assert learnable_parameter_count(
-            "structured", config.n_states, 2, theta_size=theta
-        ) == 5
+        assert len(QLearningController(config).q) == 132
+        assert StructuredController(config).estimates.size == 5
         c.detail = "q-table 132 scalars, structured estimates 5"

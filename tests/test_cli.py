@@ -72,6 +72,14 @@ class TestSimulate:
         assert base == same
         assert base != other
 
+    def test_beta_sets_the_q_learning_discount(self, capsys):
+        argv = ("simulate", "--method", "ql", "--duration", "900")
+        _, base, _ = run_cli(capsys, *argv)
+        _, default, _ = run_cli(capsys, *argv, "--beta", "0.95")
+        _, myopic, _ = run_cli(capsys, *argv, "--beta", "0.8")
+        assert base == default
+        assert base != myopic
+
 
 class TestSweep:
     def test_csv_to_stdout(self, capsys):

@@ -18,7 +18,6 @@ from compactmdp import (
     StructuredController,
     ThresholdController,
     build_mdp,
-    learnable_parameter_count,
     td_update,
 )
 from compactmdp.core import ConvergenceError
@@ -241,9 +240,7 @@ class TestStructuredController:
 
 class TestQLearningController:
     def test_full_rate_myopic_update_stores_the_reward(self):
-        controller = QLearningController(
-            NodeConfig(), alpha=1.0, epsilon=0.0, discount=0.0
-        )
+        controller = QLearningController(NodeConfig(discount=0.0), alpha=1.0, epsilon=0.0)
         s = NodeState(0, 0, M_OFF).flat(11)
         s2 = NodeState(0, 1, M_OFF).flat(11)
         controller.observe(s, ACTION_ON, 5.0, s2, 0)
@@ -251,9 +248,7 @@ class TestQLearningController:
         assert sum(1 for v in controller.q if v != 0.0) == 1
 
     def test_self_loop_converges_to_the_discounted_sum(self):
-        controller = QLearningController(
-            NodeConfig(), alpha=0.5, epsilon=0.0, discount=0.9
-        )
+        controller = QLearningController(NodeConfig(discount=0.9), alpha=0.5, epsilon=0.0)
         s = NodeState(0, 0, M_OFF).flat(11)
         for frame in range(2000):
             controller.observe(s, ACTION_ON, 1.0, s, frame)
@@ -314,27 +309,9 @@ class TestQLearningController:
             dict(epsilon=-0.1),
             dict(epsilon=1.1),
             dict(epsilon_decay=0.0),
-            dict(discount=1.0),
         ],
     )
     def test_rejects_bad_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             QLearningController(NodeConfig(), **kwargs)
 
-
-class TestLearnableParameterCount:
-    def test_case_study_counts(self):
-        assert learnable_parameter_count("ql", 66, 2) == 132
-        assert learnable_parameter_count("structured", 66, 2, theta_size=5) == 5
-        assert learnable_parameter_count("threshold", 66, 2) == 0
-
-    def test_structured_requires_theta_size(self):
-        with pytest.raises(ValueError):
-            learnable_parameter_count("structured", 66, 2)
-
-    def test_fully_known_model_learns_nothing(self):
-        assert learnable_parameter_count("structured", 66, 2, theta_size=0) == 0
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            learnable_parameter_count("sarsa", 66, 2)

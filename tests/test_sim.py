@@ -162,6 +162,14 @@ class TestConservationAndDeterminism:
         with pytest.raises(ValueError, match=r"\(2 app modes x 11 queue levels\).* \(1 x 22\)"):
             run(ThresholdController(NodeConfig(), 10), frames=20000, node=node)
 
+    def test_controller_for_another_frame_period_is_refused(self):
+        # Built for 0.1 s frames, the planner would count the 10-frame (2 s)
+        # attach of 0.2 s frames as 1 s and re-solve every 1 200 s.
+        controller = StructuredController(NodeConfig(), solve_period=600.0)
+        with pytest.raises(ValueError, match=r"levels\) in 0\.1 s frames, .* in 0\.2 s frames$"):
+            run(controller, frames=20000, node=NodeConfig(frame_period=0.2))
+        assert controller.solve_count == 0
+
     def test_undeclared_controller_is_not_checked(self):
         node = NodeConfig(queue_states=4)
         assert run(AlwaysOnController(), frames=100, node=node).frames == 100
