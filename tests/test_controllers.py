@@ -309,9 +309,28 @@ class TestQLearningController:
             dict(epsilon=-0.1),
             dict(epsilon=1.1),
             dict(epsilon_decay=0.0),
+            dict(epsilon_decay=1.5),
         ],
     )
     def test_rejects_bad_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             QLearningController(NodeConfig(), **kwargs)
 
+
+class TestLearnableParameterCount:
+    def test_case_study_counts(self):
+        config = NodeConfig()
+        assert len(QLearningController(config).q) == 132
+        assert StructuredController(config).estimates.size == 5
+        threshold = ThresholdController(config, 4)
+        assert not hasattr(threshold, "q")
+        assert not hasattr(threshold, "estimates")
+
+    def test_counts_follow_the_config(self):
+        config = NodeConfig(
+            queue_states=5,
+            app_transition=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)),
+            app_packet_prob=(0.05, 0.5, 1.0),
+        )
+        assert len(QLearningController(config).q) == 3 * 5 * 3 * 2
+        assert StructuredController(config).estimates.size == 3 * 3 + 1
