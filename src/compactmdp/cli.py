@@ -25,7 +25,7 @@ from .controllers import (
 )
 from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from .node import (
-    ACTION_ON, N_ACTIONS, N_MODEM_STATES, NodeConfig, build_mdp, floor_frames, stm_nonzeros,
+    ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
 )
 from .sim import (
     DEFAULT_EPSILON_DECAY,
@@ -133,10 +133,8 @@ def _cmd_simulate(args):
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     value = args.queue_threshold if args.method == "on-off" else node.reward_weights[1]
-    controller, tuned = make_controller(
-        args.method, node, value, seed=scenario.seed, **options
-    )
-    metrics = simulate(replace(scenario, node=tuned), controller)
+    controller = make_controller(args.method, node, value, seed=scenario.seed, **options)
+    metrics = simulate(scenario, controller)
     print(f"method={args.method} seed={scenario.seed} frames={metrics.frames}")
     print(
         f"packets generated={metrics.packets_generated} "
@@ -199,10 +197,11 @@ def _cmd_storage(args):
 
 
 def _cmd_power(args):
-    print(f"update_period_s={args.update_period} frame_period_s={args.frame_period}")
+    node = load_scenario(args.config).node
+    print(f"update_period_s={args.update_period} frame_period_s={node.frame_period}")
     for name, model in REFERENCE_POWER_MODELS.items():
         power = average_power(
-            model, update_period=args.update_period, frame_period=args.frame_period
+            model, update_period=args.update_period, frame_period=node.frame_period
         )
         print(f"{name}: average_power_uw={power * 1e6:.6g}")
     pairs = [("dense-vi", "svi"), ("dense-vi", "ql"), ("svi", "ql")]
@@ -210,11 +209,10 @@ def _cmd_power(args):
         period = crossover_period(
             REFERENCE_POWER_MODELS[a],
             REFERENCE_POWER_MODELS[b],
-            frame_period=args.frame_period,
+            frame_period=node.frame_period,
         )
         shown = "none" if period is None else f"{period:.6g}"
         print(f"crossover {a} vs {b}: period_s={shown}")
-    node = load_scenario().node
     ql = len(QLearningController(node).q)
     structured = StructuredController(node).estimates.size
     print(f"learned_parameters: ql={ql} structured={structured}")
@@ -279,8 +277,8 @@ def build_parser():
     p_storage.set_defaults(func=_cmd_storage)
 
     p_power = sub.add_parser("power", help="MCU average power and crossover periods")
+    _add_config_arg(p_power)
     p_power.add_argument("--update-period", type=float, default=DEFAULT_SOLVE_PERIOD)
-    p_power.add_argument("--frame-period", type=float, default=NodeConfig.frame_period)
     p_power.set_defaults(func=_cmd_power)
 
     return parser

@@ -7,8 +7,9 @@ an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
 frame's outcome.  Each controller keeps the (valid by construction) ``config``
 it was built for and reads every model number (layout, frame period, discount)
 off it; :func:`compactmdp.sim.simulate` checks that config's layout and frame
-period against the scenario's before frame 0.  A constructor checks only its
-own parameters.
+period against the scenario's before frame 0, and rewards every frame by that
+config's ``reward_weights``, the objective the controller optimises.  A
+constructor checks only its own parameters.
 
 * :class:`ThresholdController` — the classic duty-cycling rule: connect when
   the queue reaches a threshold, stay up until it is empty.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from .core import ConvergenceError
 from .node import (
     ACTION_OFF,
     ACTION_ON,
@@ -183,13 +184,11 @@ class StructuredController:
     that succeeded.
     """
 
-    def __init__(self, config, solve_period=DEFAULT_SOLVE_PERIOD, alpha=DEFAULT_ALPHA,
-                 max_iterations=DEFAULT_MAX_ITERATIONS):
+    def __init__(self, config, solve_period=DEFAULT_SOLVE_PERIOD, alpha=DEFAULT_ALPHA):
         self.config = config
         self.solve_period_frames = floor_frames(solve_period, config.frame_period)
         if self.solve_period_frames < 1:
             raise ValueError(f"solve_period {solve_period} shorter than one frame")
-        self.max_iterations = max_iterations
         self.estimates = ParameterEstimates.from_config(config, alpha=alpha)
         # All-off until the first successful solve.
         self.policy = [ACTION_OFF] * config.n_states
@@ -208,7 +207,7 @@ class StructuredController:
                 sigma=self.estimates.sigma_hat,
                 rho=self.estimates.rho(),
             )
-            result = svi_solve(spec, max_iterations=self.max_iterations)
+            result = svi_solve(spec)
         except (ValueError, ConvergenceError):
             self.solver_failures += 1
             return

@@ -111,17 +111,17 @@ class NodeConfig:
         Mean network-attach delay in seconds (design-time prior; the runtime
         estimate can replace it when building the planning model).
     currents_ma : tuple
-        Average current draw in mA per modem state, at ``SUPPLY_VOLTS``.
-    current_scale : float
-        Unit scale applied to the current term of the reward (1.0 keeps the
-        reward current in amperes).
+        Average current draw in mA per modem state, at ``SUPPLY_VOLTS``; the
+        reward's current term takes it in amperes.
     tx_per_frame : int
         Maximum packets transmitted per connected frame.
     energy_c1, energy_c2 : float
         Transaction energy model: a transaction carrying ``n`` packets costs
         ``c1 + c2 * (n - 1)`` joules.
     reward_weights : tuple
-        ``(current_weight, tx_reward, drop_penalty)``.
+        ``(current_weight, tx_reward, drop_penalty)``: the objective of a
+        controller built for this node; :func:`compactmdp.sim.simulate`
+        rewards that controller's frames by it.
     discount, tolerance : float
         Planning parameters handed to the solver.
     """
@@ -132,7 +132,6 @@ class NodeConfig:
     frame_period: float = 0.1
     connect_time: float = 2.0
     currents_ma: tuple = (0.0, 120.0, 162.5)
-    current_scale: float = 1.0
     tx_per_frame: int = 2
     energy_c1: float = 6.62
     energy_c2: float = 1.55
@@ -178,9 +177,6 @@ class NodeConfig:
             fault("currents_ma must give one value per modem state", "currents_ma")
         elif not all(0.0 <= c < math.inf for c in self.currents_ma):
             fault(f"currents_ma must be finite and >= 0, got {self.currents_ma}", "currents_ma")
-        if not 0.0 <= self.current_scale < math.inf:
-            fault(f"current_scale must be finite and >= 0, got {self.current_scale}",
-                  "current_scale")
         if not 1 <= self.tx_per_frame:
             fault(f"tx_per_frame must be >= 1, got {self.tx_per_frame}", "tx_per_frame")
         if len(self.reward_weights) != 3:
@@ -329,7 +325,7 @@ def reward_vector(config, rho=None):
     if rho is None:
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
     modem = modem_stm(rho)
-    amps = np.array([c * 1e-3 * config.current_scale for c in config.currents_ma])
+    amps = np.array([c * 1e-3 for c in config.currents_ma])
     w_current, w_tx, w_drop = config.reward_weights
     # [action, 1, 1, modem]: one dot product per modem row, because a batched
     # matmul may round the three-term sums differently.

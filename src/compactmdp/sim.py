@@ -14,7 +14,9 @@ schedule, which is what makes runtime learning worth measuring.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``;
 :func:`simulate` checks only that the controller was built for the scenario's
-layout and frame period.
+layout and frame period.  The scenario owns the physics (dynamics, currents,
+energy constants, schedule); the controller owns the objective, so each frame
+is rewarded by the ``reward_weights`` of the config it was built for.
 
 The power model at the bottom turns per-solve and per-frame energy costs into
 average power draws and solves for the update period at which two controller
@@ -225,7 +227,9 @@ def simulate(scenario, controller):
     steps the modem and the queue and calls the controller once to ``act``
     and once to ``observe``, with flat state indices.  A controller that keeps
     the ``config`` it was built for must match the scenario's app modes, queue
-    levels and frame period.
+    levels and frame period, and each frame's reward (passed to ``observe``
+    and summed in ``reward_total``) uses that config's ``reward_weights``; a
+    controller with no ``config`` is rewarded by the scenario node's.
     """
     config = scenario.node
     frames = scenario.duration_frames
@@ -247,8 +251,8 @@ def simulate(scenario, controller):
     cap = config.capacity
     tx_per_frame = config.tx_per_frame
     c1, c2 = config.energy_c1, config.energy_c2
-    w_current, w_tx, w_drop = config.reward_weights
-    amps = [c * 1e-3 * config.current_scale for c in config.currents_ma]
+    w_current, w_tx, w_drop = built.reward_weights
+    amps = [c * 1e-3 for c in config.currents_ma]
     frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
     # Attach length in frames for the connect_time in force at each step.
     step_frames = [at for at, _ in steps]
@@ -352,27 +356,25 @@ def make_controller(series, config, value, seed=None, alpha=DEFAULT_ALPHA,
 
     ``series`` follows :data:`SERIES_LABELS`: ``"on-off"`` takes a queue
     threshold, ``"mdp"`` and ``"ql"`` take the reward-per-packet weight (the
-    config's middle reward weight is replaced by ``value``).  Both learning
-    controllers discount by the config's ``discount``.
+    config's middle reward weight is replaced by ``value``).  The tuned node
+    is the controller's ``config``, whose weights :func:`simulate` rewards
+    by.  Both learning controllers discount by the config's ``discount``.
     """
     if series == "on-off":
-        return ThresholdController(config, int(value)), config
+        return ThresholdController(config, int(value))
     w1, _, w3 = config.reward_weights
     tuned = replace(config, reward_weights=(w1, float(value), w3))
     if series == "mdp":
-        return StructuredController(tuned, solve_period=solve_period, alpha=alpha), tuned
+        return StructuredController(tuned, solve_period=solve_period, alpha=alpha)
     if series == "ql":
         # Exploration stream is decoupled from the environment stream, which
         # uses the bare seed.
-        return (
-            QLearningController(
-                tuned,
-                alpha=alpha,
-                epsilon=epsilon,
-                epsilon_decay=epsilon_decay,
-                seed=((0 if seed is None else seed), 1),
-            ),
+        return QLearningController(
             tuned,
+            alpha=alpha,
+            epsilon=epsilon,
+            epsilon_decay=epsilon_decay,
+            seed=((0 if seed is None else seed), 1),
         )
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_LABELS}")
 
@@ -414,11 +416,10 @@ def sweep_series(scenario, series, values, seeds=DEFAULT_SEEDS, **controller_kwa
     for value in values:
         runs = []
         for seed in seeds:
-            controller, tuned = make_controller(
+            controller = make_controller(
                 series, scenario.node, value, seed=seed, **controller_kwargs
             )
-            run_scenario = replace(scenario, node=tuned, seed=seed)
-            runs.append(simulate(run_scenario, controller))
+            runs.append(simulate(replace(scenario, seed=seed), controller))
         means = {
             name: float(np.mean([getattr(r, name) for r in runs]))
             for name, _ in SWEEP_AVERAGES

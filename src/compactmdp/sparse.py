@@ -53,6 +53,9 @@ class SparseMatrixCSR:
 
     ``row_ptr`` has ``n_rows + 1`` entries; row ``i`` owns the slice
     ``col_idx[row_ptr[i]:row_ptr[i+1]]`` / ``values[row_ptr[i]:row_ptr[i+1]]``.
+    ``row_idx`` is the same row ownership spelled out per entry (``i``
+    repeated ``row_ptr[i+1] - row_ptr[i]`` times), kept so the kernels need
+    not expand ``row_ptr`` on every product.
     """
 
     n_rows: int
@@ -60,6 +63,7 @@ class SparseMatrixCSR:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    row_idx: np.ndarray
 
     @property
     def nnz(self):
@@ -67,8 +71,7 @@ class SparseMatrixCSR:
 
     def dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
-        rows = np.repeat(np.arange(self.n_rows), np.diff(self.row_ptr))
-        out[rows, self.col_idx] = self.values
+        out[self.row_idx, self.col_idx] = self.values
         return out
 
 
@@ -109,6 +112,7 @@ def coo_to_csr(coo):
         row_ptr=row_ptr,
         col_idx=col_idx,
         values=values,
+        row_idx=row_idx,
     )
 
 
@@ -121,8 +125,7 @@ def sparse_mult(m, v):
     if v.shape != (m.n_cols,):
         raise ValueError(f"vector length {v.shape} does not match {m.n_cols} columns")
     contrib = m.values * v[m.col_idx]
-    rows = np.repeat(np.arange(m.n_rows), np.diff(m.row_ptr))
-    return np.bincount(rows, weights=contrib, minlength=m.n_rows)
+    return np.bincount(m.row_idx, weights=contrib, minlength=m.n_rows)
 
 
 def saxpy(scale, t, r):

@@ -7,13 +7,51 @@ import pytest
 
 import compactmdp.controllers as controllers
 from compactmdp.cli import main
-from compactmdp.core import ConvergenceError
+from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+#: A 3-mode, 5-level node in 0.2 s frames: 45 states, 20 s runs of 100 frames.
+THREE_MODES = """\
+app_transition = 0.8 0.2 0.0 ; 0.1 0.8 0.1 ; 0.0 0.5 0.5
+app_packet_prob = 0.1 0.5 1.0
+queue_states = 5
+frame_period = 0.2
+duration = 20
+"""
+
+
+class TestConfigOption:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("solve",), "states=45 actions=2 rows=90"),
+            (("simulate", "--method", "on-off"), "method=on-off seed=0 frames=100"),
+            (("sweep", "--methods", "on-off", "--nq-values", "2", "--seeds", "1"),
+             "on-off,queue_threshold,2,1,"),
+            (("storage",), "5,45,"),
+            (("power",), "learned_parameters: ql=90 structured=10"),
+        ],
+    )
+    def test_every_subcommand_reads_the_scenario_file(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "three.cfg"
+        path.write_text(THREE_MODES)
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, err) == (0, "")
+        assert expected in out
+
+    def test_power_takes_the_scenarios_frame_period(self, capsys, tmp_path):
+        path = tmp_path / "three.cfg"
+        path.write_text(THREE_MODES)
+        _, out, _ = run_cli(capsys, "power", "--config", str(path))
+        assert "update_period_s=3600.0 frame_period_s=0.2" in out
+        # 7.06 uJ per 0.2 s frame plus the 8.2 uW sleep floor.
+        assert "ql: average_power_uw=43.5" in out
 
 
 class TestSolve:
@@ -56,8 +94,8 @@ class TestSimulate:
         assert "solves=1 solver_failures=0 solver_macs=" in out
 
     def test_planner_run_reports_failed_solves(self, capsys, monkeypatch):
-        def boom(spec, max_iterations):
-            raise ConvergenceError("no convergence today", None, max_iterations)
+        def boom(spec):
+            raise ConvergenceError("no convergence today", None, DEFAULT_MAX_ITERATIONS)
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         code, out, _ = run_cli(capsys, "simulate", "--method", "mdp", "--duration", "20")

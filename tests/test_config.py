@@ -17,7 +17,6 @@ OTHER_NODE = NodeConfig(
     frame_period=0.25,
     connect_time=1.5,
     currents_ma=(1.0, 100.0, 150.0),
-    current_scale=0.001,
     tx_per_frame=3,
     energy_c1=5.0,
     energy_c2=1.25,
@@ -144,8 +143,6 @@ class TestParseScenario:
             "connect_time = nan",
             "connect_time = inf",
             "currents_ma = 0 nan 1",
-            "current_scale = nan",
-            "current_scale = -1",
             "energy_c1 = inf",
             "reward_weights = -10 nan -100",
             "app_packet_prob = nan 1.0",
@@ -184,6 +181,7 @@ class TestParseScenario:
             ("at 10 set app_transition = 0.5 0.5 ; 1.0", "unequal lengths"),
             ("at -5 set connect_time = 3", "time must be finite and >= 0"),
             ("at 10 set bogus = 1", "unknown key 'bogus'"),
+            ("current_scale = 1.0", "unknown key 'current_scale'"),
             ("duration = 0.01", "duration 0.01 is shorter than one frame"),
             ("duration = inf", "duration inf is not finite"),
         ],
@@ -205,7 +203,6 @@ class TestParseScenario:
             "connect_time = 0.05",
             "currents_ma = 0 120",
             "currents_ma = 0 -1 1",
-            "current_scale = -1",
             "tx_per_frame = 0",
             "reward_weights = 1 2",
             "energy_c2 = nan",

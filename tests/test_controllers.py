@@ -20,7 +20,7 @@ from compactmdp import (
     build_mdp,
     td_update,
 )
-from compactmdp.core import ConvergenceError
+from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from compactmdp.solver import svi_solve
 
 
@@ -210,8 +210,8 @@ class TestStructuredController:
         good = list(controller.policy)
         assert controller.solver_failures == 0
 
-        def boom(spec, max_iterations):
-            raise ConvergenceError("no convergence today", None, max_iterations)
+        def boom(spec):
+            raise ConvergenceError("no convergence today", None, DEFAULT_MAX_ITERATIONS)
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         controller.act(s, frame=controller.solve_period_frames)
@@ -225,7 +225,7 @@ class TestStructuredController:
     def test_other_solver_errors_propagate(self, monkeypatch):
         controller = StructuredController(NodeConfig(), solve_period=1.0)
 
-        def bug(spec, max_iterations):
+        def bug(spec):
             raise TypeError("a bug, not a failed solve")
 
         monkeypatch.setattr(controllers, "svi_solve", bug)

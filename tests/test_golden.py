@@ -42,8 +42,8 @@ GOLDEN = {
 @pytest.mark.parametrize("series, value", list(GOLDEN))
 def test_default_scenario_metrics_are_exact(series, value):
     scenario = replace(load_scenario(), duration_frames=GOLDEN_FRAMES)
-    controller, tuned = make_controller(series, scenario.node, value, seed=0)
-    assert simulate(replace(scenario, node=tuned), controller) == GOLDEN[(series, value)]
+    controller = make_controller(series, scenario.node, value, seed=0)
+    assert simulate(scenario, controller) == GOLDEN[(series, value)]
 
 
 def numpy_row_update(row, next_mode, alpha):

@@ -248,13 +248,6 @@ class TestReward:
         got = r[66 + NodeState(0, 5, M_CONNECTING).flat(nq)]
         assert abs(got - expected) < 1e-12
 
-    def test_current_scale_rescales_only_the_current_term(self):
-        base = reward_vector(NodeConfig())
-        scaled = reward_vector(NodeConfig(current_scale=2.0))
-        nq = 11
-        row = 66 + NodeState(0, 0, M_OFF).flat(nq)
-        assert abs(scaled[row] - 2.0 * base[row]) < 1e-12
-
 
 class TestNodeConfig:
     def test_default_dimensions(self):
@@ -321,7 +314,7 @@ def per_cell_stm(config, sigma, rho):
 def per_cell_rewards(config, rho):
     """The reward vector, one (state, action) cell at a time."""
     modem = modem_stm(rho)
-    amps = np.array([c * 1e-3 * config.current_scale for c in config.currents_ma])
+    amps = np.array([c * 1e-3 for c in config.currents_ma])
     w_current, w_tx, w_drop = config.reward_weights
     n, nq, tx = config.n_states, config.queue_states, config.tx_per_frame
     out = np.empty(2 * n)
@@ -361,7 +354,6 @@ def node_models(draw):
         app_transition=tuple(map(tuple, draw(stochastic_matrices(modes)).tolist())),
         app_packet_prob=floats(0.0, 1.0, modes),
         currents_ma=floats(0.0, 500.0, 3),
-        current_scale=draw(st.floats(0.0, 10.0)),
         tx_per_frame=draw(st.integers(1, 3)),
         reward_weights=floats(-1e3, 1e3, 3),
     )

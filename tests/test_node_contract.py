@@ -47,7 +47,6 @@ def valid_configs(draw):
         frame_period=frame_period,
         connect_time=frame_period * draw(floats(1.0, 50.0)),
         currents_ma=tuple(draw(st.lists(floats(0.0, 500.0), min_size=3, max_size=3))),
-        current_scale=draw(floats(0.0, 10.0)),
         tx_per_frame=draw(st.integers(1, 3)),
         energy_c1=draw(floats(0.0, 20.0)),
         energy_c2=draw(floats(0.0, 5.0)),
@@ -105,8 +104,6 @@ def bad_values(draw, config):
         else:
             bad = draw(st.one_of(floats(-100.0, -1e-9), NON_FINITE))
             value = with_entry(config.currents_ma, bad, draw)
-    elif name == "current_scale":
-        value = draw(st.one_of(floats(-10.0, -1e-9), NON_FINITE))
     elif name == "tx_per_frame":
         value = draw(st.integers(-3, 0))
     elif name in ("energy_c1", "energy_c2"):

@@ -7,7 +7,7 @@ before frame 0.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -116,9 +116,8 @@ def test_valid_schedules_conserve_packets_and_repeat_bit_for_bit(changes, series
     value = 3 if series == "on-off" else 5.0
     runs = []
     for scenario in (parsed, Scenario(seed=seed, schedule=tuple(changes))):
-        controller, tuned = make_controller(series, scenario.node, value, seed=seed)
-        run = Scenario(node=tuned, duration_frames=FRAMES, seed=seed, schedule=scenario.schedule)
-        runs.append(simulate(run, controller))
+        controller = make_controller(series, scenario.node, value, seed=seed)
+        runs.append(simulate(replace(scenario, duration_frames=FRAMES), controller))
     first, second = runs
     # Distinct floats have distinct reprs, and NaN fields compare equal as text.
     assert repr(first) == repr(second)

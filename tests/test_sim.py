@@ -175,6 +175,45 @@ class TestConservationAndDeterminism:
         assert run(AlwaysOnController(), frames=100, node=node).frames == 100
 
 
+class RecordingController(ThresholdController):
+    """The threshold rule at 3 packets, keeping every reward it observes."""
+
+    def __init__(self, config):
+        super().__init__(config, 3)
+        self.rewards = []
+
+    def observe(self, s, action, reward, s_next, frame):
+        self.rewards.append(reward)
+
+
+class TestRewardOwner:
+    """The scenario owns the physics; the controller owns the objective."""
+
+    def test_frames_are_rewarded_by_the_controllers_weights(self):
+        weights = (-1.0, 2.0, -50.0)
+        units = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        runs = {}
+        for w in (weights, *units):
+            controller = RecordingController(NodeConfig(reward_weights=w))
+            runs[w] = run(controller, frames=20000), controller.rewards
+        # Unit weights read off each frame's current (A), packets sent and dropped.
+        amps, sent, dropped = (runs[unit][1] for unit in units)
+        assert max(amps) > 0.0 and max(sent) > 0.0 and max(dropped) > 0.0
+        expected = [
+            weights[0] * a + weights[1] * n_tx + weights[2] * n_drop
+            for a, n_tx, n_drop in zip(amps, sent, dropped)
+        ]
+        metrics, rewards = runs[weights]
+        assert rewards == expected
+        total = 0.0
+        for reward in expected:
+            total += reward
+        assert metrics.reward_total == total
+        # Everything but the reward follows the scenario alone.
+        base = run(ThresholdController(NodeConfig(), 3), frames=20000)
+        assert replace(metrics, reward_total=base.reward_total) == base
+
+
 class TestSchedule:
     def test_parameter_step_changes_the_run(self):
         busier = ScheduleChange(50.0, "app_packet_prob", (0.5, 1.0))
@@ -229,21 +268,21 @@ class TestSchedule:
 
 class TestMakeController:
     def test_threshold_series(self):
-        controller, config = make_controller("on-off", NodeConfig(), 4)
+        controller = make_controller("on-off", NodeConfig(), 4)
         assert isinstance(controller, ThresholdController)
         assert controller.queue_threshold == 4
-        assert config == NodeConfig()
+        assert controller.config == NodeConfig()
 
     def test_learning_series_replace_the_packet_reward(self):
         for series, cls in (("mdp", StructuredController), ("ql", QLearningController)):
-            controller, tuned = make_controller(series, NodeConfig(), 7.0, seed=0)
+            controller = make_controller(series, NodeConfig(), 7.0, seed=0)
             assert isinstance(controller, cls)
-            assert tuned.reward_weights == (-10.0, 7.0, -100.0)
+            assert controller.config.reward_weights == (-10.0, 7.0, -100.0)
 
     def test_ql_controllers_with_equal_seed_explore_identically(self):
         state = NodeState(0, 0, 0).flat(11)
-        a, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
-        b, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
+        a = make_controller("ql", NodeConfig(), 5.0, seed=0)
+        b = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert [a.act(state) for _ in range(20)] == [b.act(state) for _ in range(20)]
 
     def test_threshold_policy_is_one_action_per_flat_state(self):
@@ -257,7 +296,7 @@ class TestMakeController:
             assert controller.act(s) == action
 
     def test_threshold_above_capacity_is_refused(self):
-        controller, _ = make_controller("on-off", NodeConfig(), 10)
+        controller = make_controller("on-off", NodeConfig(), 10)
         assert controller.queue_threshold == NodeConfig().capacity
         with pytest.raises(ValueError, match="above the queue capacity 10"):
             make_controller("on-off", NodeConfig(), 11)
@@ -310,7 +349,7 @@ class TestSweep:
             assert float(row[5]) == pytest.approx(point.energy_per_packet, rel=1e-5)
 
     def test_sweep_default_decay_is_applied(self):
-        controller, _ = make_controller("ql", NodeConfig(), 5.0, seed=0)
+        controller = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
 
 

@@ -34,6 +34,7 @@ class TestConversions:
         m = np.array([[5.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
         csr = coo_to_csr(to_sparse(m))
         assert_array_equal(csr.row_ptr, [0, 1, 1, 3])
+        assert_array_equal(csr.row_idx, [0, 2, 2])
         assert_array_equal(csr.col_idx, [0, 0, 1])
         assert_array_equal(csr.values, [5.0, 1.0, 2.0])
 
