@@ -25,7 +25,6 @@ from .controllers import (
     QLearningController,
     StructuredController,
     ThresholdController,
-    td_update,
 )
 from .core import (
     ConvergenceError,
@@ -63,7 +62,6 @@ from .sim import (
     make_controller,
     pareto_sweep,
     simulate,
-    sweep_series,
     write_sweep_csv,
 )
 from .solver import SolveResult, solve_cost, svi_solve
@@ -130,8 +128,6 @@ __all__ = [
     "stm_nonzeros",
     "storage_report",
     "svi_solve",
-    "sweep_series",
-    "td_update",
     "to_sparse",
     "validate",
 ]

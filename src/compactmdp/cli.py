@@ -20,15 +20,14 @@ from dataclasses import replace
 from . import __version__
 from .config import ConfigError, load_scenario
 from .controllers import (
-    DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_SOLVE_PERIOD, QLearningController,
-    StructuredController,
+    DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_EPSILON_DECAY, DEFAULT_SOLVE_PERIOD,
+    QLearningController, StructuredController,
 )
 from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from .node import (
     ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
 )
 from .sim import (
-    DEFAULT_EPSILON_DECAY,
     DEFAULT_SEEDS,
     NQ_SWEEP,
     R2_SWEEP,

@@ -4,12 +4,13 @@ Three policies share one frame-stepped protocol over the flat state index
 ``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
 layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
 an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
-frame's outcome.  Each controller keeps the (valid by construction) ``config``
-it was built for and reads every model number (layout, frame period, discount)
-off it; :func:`compactmdp.sim.simulate` checks that config's layout and frame
-period against the scenario's before frame 0, and rewards every frame by that
-config's ``reward_weights``, the objective the controller optimises.  A
-constructor checks only its own parameters.
+frame's outcome.  Every controller is built from, and keeps, the (valid by
+construction) ``config`` it plans for and reads every model number (layout,
+frame period, discount, the planner's priors) off it;
+:func:`compactmdp.sim.simulate` reads that config off every controller, checks
+its layout and frame period against the scenario's before frame 0, and rewards
+every frame by its ``reward_weights``, the objective the controller optimises.
+A constructor checks only its own parameters.
 
 * :class:`ThresholdController` — the classic duty-cycling rule: connect when
   the queue reaches a threshold, stay up until it is empty.
@@ -34,8 +35,6 @@ from .node import (
     M_OFF,
     N_ACTIONS,
     N_MODEM_STATES,
-    NodeConfig,
-    app_transition_problems,
     build_mdp,
     floor_frames,
     rho_from_connect_time,
@@ -51,12 +50,10 @@ DEFAULT_ALPHA = 0.1
 #: Q-learning's exploration rate.
 DEFAULT_EPSILON = 0.05
 
-
-def td_update(estimate, observation, alpha):
-    """Exponential-forgetting update ``estimate*(1-alpha) + observation*alpha``."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return estimate * (1.0 - alpha) + observation * alpha
+#: Q-learning's per-frame exploration decay: halves epsilon every ~12
+#: simulated minutes at 0.1 s frames, so its late-run behavior reflects what
+#: it learned rather than residual dithering.  1.0 keeps epsilon constant.
+DEFAULT_EPSILON_DECAY = 0.9999
 
 
 class ParameterEstimates:
@@ -68,32 +65,21 @@ class ParameterEstimates:
     ``connect_time_hat`` (updated once per completed attach).  Everything else
     in the model is design-time structure.
 
+    Both start at the design-time priors of ``config`` (valid by
+    construction), whose ``frame_period`` is the unit of every measured
+    duration; only ``alpha`` is checked here.
+
     The matrix is kept as rows of Python floats, so the per-frame update is
     scalar arithmetic; ``sigma_hat`` returns it as a fresh ``(n, n)`` array.
     """
 
-    def __init__(self, sigma_hat, connect_time_hat, alpha=DEFAULT_ALPHA,
-                 frame_period=NodeConfig.frame_period):
-        if problems := app_transition_problems(sigma_hat, len(sigma_hat)):
-            raise ValueError("invalid sigma_hat: " + "; ".join(problems))
-        self._rows = np.asarray(sigma_hat, dtype=float).tolist()
-        self.connect_time_hat = connect_time_hat
+    def __init__(self, config, alpha=DEFAULT_ALPHA):
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        self._rows = np.asarray(config.app_transition, dtype=float).tolist()
+        self.connect_time_hat = config.connect_time
         self.alpha = alpha
-        self.frame_period = frame_period
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.connect_time_hat < self.frame_period:
-            raise ValueError("connect_time_hat must be at least one frame")
-
-    @classmethod
-    def from_config(cls, config, alpha=DEFAULT_ALPHA):
-        """Seed the estimates with the design-time priors."""
-        return cls(
-            sigma_hat=np.asarray(config.app_transition, dtype=float),
-            connect_time_hat=config.connect_time,
-            alpha=alpha,
-            frame_period=config.frame_period,
-        )
+        self.frame_period = config.frame_period
 
     @property
     def sigma_hat(self):
@@ -128,7 +114,7 @@ class ParameterEstimates:
         """Blend one measured attach duration into ``connect_time_hat``."""
         if seconds < self.frame_period:
             raise ValueError(f"attach duration {seconds} shorter than one frame")
-        blended = td_update(self.connect_time_hat, seconds, self.alpha)
+        blended = self.connect_time_hat * (1.0 - self.alpha) + seconds * self.alpha
         self.connect_time_hat = max(blended, self.frame_period)
 
     def rho(self):
@@ -155,7 +141,6 @@ class ThresholdController:
             )
         self.config = config
         self.queue_threshold = queue_threshold
-        self.n_states = config.n_states
         self.policy = [
             ACTION_ON
             if queue >= queue_threshold or (modem != M_OFF and queue > 0)
@@ -189,7 +174,7 @@ class StructuredController:
         self.solve_period_frames = floor_frames(solve_period, config.frame_period)
         if self.solve_period_frames < 1:
             raise ValueError(f"solve_period {solve_period} shorter than one frame")
-        self.estimates = ParameterEstimates.from_config(config, alpha=alpha)
+        self.estimates = ParameterEstimates(config, alpha=alpha)
         # All-off until the first successful solve.
         self.policy = [ACTION_OFF] * config.n_states
         self.solve_count = 0
@@ -250,7 +235,7 @@ class QLearningController:
     """
 
     def __init__(self, config, alpha=DEFAULT_ALPHA, epsilon=DEFAULT_EPSILON,
-                 epsilon_decay=1.0, seed=None):
+                 epsilon_decay=DEFAULT_EPSILON_DECAY, seed=None):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if not 0.0 <= epsilon <= 1.0:

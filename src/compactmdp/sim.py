@@ -12,11 +12,12 @@ Scenarios can change the true environment parameters mid-run (attach delay,
 app-mode statistics, packet probabilities) through a piecewise-constant
 schedule, which is what makes runtime learning worth measuring.
 
-A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``;
-:func:`simulate` checks only that the controller was built for the scenario's
-layout and frame period.  The scenario owns the physics (dynamics, currents,
-energy constants, schedule); the controller owns the objective, so each frame
-is rewarded by the ``reward_weights`` of the config it was built for.
+A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``.
+Every controller carries the ``config`` it was built for, and :func:`simulate`
+checks only that it matches the scenario's layout and frame period.  The
+scenario owns the physics (dynamics, currents, energy constants, schedule);
+the controller owns the objective, so each frame is rewarded by the
+``reward_weights`` of that config.
 
 The power model at the bottom turns per-solve and per-frame energy costs into
 average power draws and solves for the update period at which two controller
@@ -46,6 +47,7 @@ from .node import (
 from .controllers import (
     DEFAULT_ALPHA,
     DEFAULT_EPSILON,
+    DEFAULT_EPSILON_DECAY,
     DEFAULT_SOLVE_PERIOD,
     QLearningController,
     StructuredController,
@@ -65,13 +67,6 @@ R2_SWEEP = (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 100.0, 1000.0)
 NQ_SWEEP = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
-
-#: Per-frame exploration decay used by the sweeps (halves epsilon every ~12
-#: simulated minutes), so Q-learning's late-run behavior reflects what it
-#: learned rather than residual dithering.  Constructing a
-#: :class:`~compactmdp.controllers.QLearningController` directly keeps epsilon
-#: constant.
-DEFAULT_EPSILON_DECAY = 0.9999
 
 
 @dataclass(frozen=True)
@@ -225,15 +220,14 @@ def simulate(scenario, controller):
     sample path.  That path (app modes and packet arrivals, under the
     schedule) is drawn up front, before frame 0; the frame loop then only
     steps the modem and the queue and calls the controller once to ``act``
-    and once to ``observe``, with flat state indices.  A controller that keeps
-    the ``config`` it was built for must match the scenario's app modes, queue
+    and once to ``observe``, with flat state indices.  The ``config`` the
+    controller was built for must match the scenario's app modes, queue
     levels and frame period, and each frame's reward (passed to ``observe``
-    and summed in ``reward_total``) uses that config's ``reward_weights``; a
-    controller with no ``config`` is rewarded by the scenario node's.
+    and summed in ``reward_total``) uses that config's ``reward_weights``.
     """
     config = scenario.node
     frames = scenario.duration_frames
-    built = getattr(controller, "config", config)
+    built = controller.config
     if (built.n_app_modes, built.queue_states, built.frame_period) != (
         config.n_app_modes, config.queue_states, config.frame_period
     ):
@@ -407,41 +401,35 @@ class SweepPoint:
     reward_total: float
 
 
-def sweep_series(scenario, series, values, seeds=DEFAULT_SEEDS, **controller_kwargs):
-    """Run one series over its parameter grid, averaging metrics over seeds."""
-    if len(seeds) < 1:
-        raise ValueError("a sweep needs at least one seed")
-    parameter = "queue_threshold" if series == "on-off" else "tx_reward"
-    points = []
-    for value in values:
-        runs = []
-        for seed in seeds:
-            controller = make_controller(
-                series, scenario.node, value, seed=seed, **controller_kwargs
-            )
-            runs.append(simulate(replace(scenario, seed=seed), controller))
-        means = {
-            name: float(np.mean([getattr(r, name) for r in runs]))
-            for name, _ in SWEEP_AVERAGES
-        }
-        points.append(SweepPoint(series, parameter, float(value), len(seeds), **means))
-    return points
-
-
 def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
                  nq_values=NQ_SWEEP, seeds=DEFAULT_SEEDS, **controller_kwargs):
     """Latency/energy trade-off sweep for the requested series.
 
     The learning controllers sweep the reward-per-packet weight; the threshold
-    rule sweeps its queue threshold.  Returns the concatenated
-    :class:`SweepPoint` list.
+    rule sweeps its queue threshold.  Every point's controllers, one per seed,
+    are built before the first run, so a bad grid value fails before any
+    simulation.  Returns the :class:`SweepPoint` list, series by series.
     """
+    if len(seeds) < 1:
+        raise ValueError("a sweep needs at least one seed")
+    scenarios = [replace(scenario, seed=seed) for seed in seeds]
+    grid = [
+        (label, value, [
+            make_controller(label, scenario.node, value, seed=seed, **controller_kwargs)
+            for seed in seeds
+        ])
+        for label in series
+        for value in (nq_values if label == "on-off" else r2_values)
+    ]
     points = []
-    for label in series:
-        values = nq_values if label == "on-off" else r2_values
-        points.extend(
-            sweep_series(scenario, label, values, seeds=seeds, **controller_kwargs)
-        )
+    for label, value, controllers in grid:
+        runs = [simulate(s, c) for s, c in zip(scenarios, controllers)]
+        means = {
+            name: float(np.mean([getattr(r, name) for r in runs]))
+            for name, _ in SWEEP_AVERAGES
+        }
+        parameter = "queue_threshold" if label == "on-off" else "tx_reward"
+        points.append(SweepPoint(label, parameter, float(value), len(seeds), **means))
     return points
 
 

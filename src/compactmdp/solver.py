@@ -78,13 +78,11 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     rewards = spec.rewards
     beta = spec.discount
     v = np.zeros(spec.n_states)
-    ops = 0
     for iteration in range(1, max_iterations + 1):
         t = sparse_mult(csr, v)
         q = saxpy(beta, t, rewards)
         v_new, policy = max_reduce(q, spec.n_states, spec.n_actions)
         delta = inf_norm_diff(v_new, v)
-        ops += csr.nnz
         v = v_new
         if delta < spec.tolerance:
             return SolveResult(
@@ -92,7 +90,7 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
                 policy=policy,
                 iterations=iteration,
                 final_delta=delta,
-                kernel_op_count=ops,
+                kernel_op_count=iteration * csr.nnz,
                 n_states=spec.n_states,
                 n_actions=spec.n_actions,
                 k_nz=csr.nnz,

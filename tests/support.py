@@ -34,6 +34,9 @@ def random_mdp(rng, max_states=50, max_actions=4, sparsity=(0.5, 0.99)):
 class AlwaysOnController:
     """Keeps the modem on unconditionally; useful as a latency floor."""
 
+    def __init__(self, config):
+        self.config = config
+
     def act(self, state, frame=0):
         return ACTION_ON
 

@@ -186,7 +186,7 @@ def test_criterion_07_attach_dwell_time():
         # attach current (120 mA) on every single frame.
         quiet = NodeConfig(app_packet_prob=(0.0, 0.0))
         m = simulate(
-            Scenario(node=quiet, duration_frames=expected), AlwaysOnController()
+            Scenario(node=quiet, duration_frames=expected), AlwaysOnController(quiet)
         )
         assert m.reward_total == pytest.approx(
             -10.0 * 0.120 * expected, rel=1e-12
@@ -248,7 +248,7 @@ def test_criterion_09_simulation_invariants():
             controllers = [
                 ThresholdController(NodeConfig(), 1),
                 ThresholdController(NodeConfig(), 5),
-                AlwaysOnController(),
+                AlwaysOnController(NodeConfig()),
                 StructuredController(NodeConfig(), solve_period=600.0),
                 QLearningController(NodeConfig(), seed=(seed, 1),
                                     epsilon_decay=0.9999),
@@ -282,7 +282,7 @@ def test_criterion_09_simulation_invariants():
         assert worst_row <= 1e-9
 
         # Estimator rows stay stochastic through 10^5 fuzzed updates.
-        est = ParameterEstimates.from_config(NodeConfig(), alpha=0.2)
+        est = ParameterEstimates(NodeConfig(), alpha=0.2)
         for _ in range(100_000):
             est.observe_app_transition(rng.integers(2), rng.integers(2))
         sigma_err = float(np.abs(est.sigma_hat.sum(axis=1) - 1.0).max())

@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 import compactmdp.controllers as controllers
+from compactmdp import sim
 from compactmdp.cli import main
 from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 
@@ -221,6 +222,23 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error:")
         assert "capacity" in err
+
+    def test_bad_grid_value_fails_before_any_run(self, capsys, tmp_path, monkeypatch):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--methods", "mdp", "ql", "on-off", "--nq-values", "20",
+            "--seeds", "1", "--duration", "3000", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: queue threshold 20 is above the queue capacity 10; "
+            "the modem would never connect\n"
+        )
+        assert not out_path.exists()
 
     def test_zero_seeds_is_a_clean_failure(self, capsys):
         code, out, err = run_cli(

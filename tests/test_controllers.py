@@ -18,42 +18,48 @@ from compactmdp import (
     StructuredController,
     ThresholdController,
     build_mdp,
-    td_update,
 )
+from compactmdp.controllers import DEFAULT_EPSILON, DEFAULT_EPSILON_DECAY
 from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
 from compactmdp.solver import svi_solve
 
 
-class TestTdUpdate:
-    def test_blend(self):
-        assert abs(td_update(0.0, 1.0, 0.1) - 0.1) < 1e-15
-        assert abs(td_update(2.0, 4.0, 0.1) - 2.2) < 1e-15
-
-    def test_full_weight_replaces(self):
-        assert td_update(123.0, 4.0, 1.0) == 4.0
-
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
-    def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(ValueError):
-            td_update(0.0, 1.0, alpha)
-
-
 class TestParameterEstimates:
-    def test_from_config_matches_priors(self):
+    def test_starts_at_the_priors(self):
         config = NodeConfig()
-        est = ParameterEstimates.from_config(config)
+        est = ParameterEstimates(config)
         assert_allclose(est.sigma_hat, config.app_transition)
         assert est.connect_time_hat == config.connect_time
         assert est.size == 5
 
+    def test_starts_at_a_three_mode_configs_priors(self):
+        config = NodeConfig(
+            app_transition=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.2, 0.3, 0.5)),
+            app_packet_prob=(0.05, 0.5, 1.0),
+            connect_time=3.0,
+            frame_period=0.2,
+        )
+        est = ParameterEstimates(config, alpha=0.3)
+        assert np.array_equal(est.sigma_hat, np.array(config.app_transition))
+        assert est.connect_time_hat == 3.0
+        assert est.frame_period == 0.2
+        assert est.alpha == 0.3
+        assert est.size == 10
+        assert est.rho() == 1.0 / 15
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            ParameterEstimates(NodeConfig(), alpha=alpha)
+
     def test_estimates_do_not_alias_the_config(self):
         config = NodeConfig()
-        est = ParameterEstimates.from_config(config, alpha=1.0)
+        est = ParameterEstimates(config, alpha=1.0)
         est.observe_app_transition(0, 1)
         assert config.app_transition == ((0.99, 0.01), (0.5, 0.5))
 
     def test_repeated_self_transitions_decay_geometrically(self):
-        est = ParameterEstimates.from_config(NodeConfig())
+        est = ParameterEstimates(NodeConfig())
         for _ in range(10):
             est.observe_app_transition(0, 0)
         assert abs(est.sigma_hat[0, 1] - 0.01 * 0.9**10) < 1e-12
@@ -62,32 +68,30 @@ class TestParameterEstimates:
         assert_allclose(est.sigma_hat[1], [0.5, 0.5])
 
     def test_connect_time_blend_and_clamp(self):
-        est = ParameterEstimates.from_config(NodeConfig())  # prior 2.0 s
+        est = ParameterEstimates(NodeConfig())  # prior 2.0 s
         est.observe_connect_time(4.0)
         assert abs(est.connect_time_hat - 2.2) < 1e-12
         assert abs(est.rho() - 1.0 / 22) < 1e-15
 
     def test_full_weight_observation_replaces_the_prior(self):
-        est = ParameterEstimates.from_config(NodeConfig(), alpha=1.0)
+        est = ParameterEstimates(NodeConfig(), alpha=1.0)
         est.observe_connect_time(3.7)
         assert est.connect_time_hat == 3.7
 
     def test_estimate_never_drops_below_one_frame(self):
-        est = ParameterEstimates(
-            sigma_hat=np.eye(2), connect_time_hat=0.1, alpha=1.0
-        )
+        est = ParameterEstimates(NodeConfig(connect_time=0.1), alpha=1.0)
         est.observe_connect_time(0.1)
         assert est.connect_time_hat == 0.1
         assert est.rho() == 1.0
 
     def test_rejects_sub_frame_observation(self):
-        est = ParameterEstimates.from_config(NodeConfig())
+        est = ParameterEstimates(NodeConfig())
         with pytest.raises(ValueError):
             est.observe_connect_time(0.05)
 
     def test_fuzzed_updates_keep_rows_stochastic(self):
         rng = np.random.default_rng(7)
-        est = ParameterEstimates.from_config(NodeConfig(), alpha=0.3)
+        est = ParameterEstimates(NodeConfig(), alpha=0.3)
         for _ in range(10_000):
             est.observe_app_transition(rng.integers(2), rng.integers(2))
             if rng.random() < 0.05:
@@ -295,11 +299,19 @@ class TestQLearningController:
             expected *= 0.999
         assert controller.epsilon == expected
 
-    def test_constant_epsilon_by_default(self):
+    def test_epsilon_decays_by_the_default(self):
         controller = QLearningController(NodeConfig())
         s = NodeState(0, 0, M_OFF).flat(11)
         controller.observe(s, ACTION_OFF, 0.0, s, 0)
-        assert controller.epsilon == 0.05
+        assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
+        assert controller.epsilon == DEFAULT_EPSILON * DEFAULT_EPSILON_DECAY
+
+    def test_unit_decay_keeps_epsilon_constant(self):
+        controller = QLearningController(NodeConfig(), epsilon_decay=1.0)
+        s = NodeState(0, 0, M_OFF).flat(11)
+        for frame in range(10):
+            controller.observe(s, ACTION_OFF, 0.0, s, frame)
+        assert controller.epsilon == DEFAULT_EPSILON
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from compactmdp import (
+    NodeConfig,
     ParameterEstimates,
     SimMetrics,
     load_scenario,
@@ -60,7 +61,8 @@ def test_estimate_update_matches_the_numpy_row_update(n_modes):
         sigma = rng.random((n_modes, n_modes)) + 1e-3
         sigma /= sigma.sum(axis=1, keepdims=True)
         alpha = float(rng.uniform(0.01, 1.0))
-        estimates = ParameterEstimates(sigma, connect_time_hat=2.0, alpha=alpha)
+        config = NodeConfig(app_transition=sigma, app_packet_prob=(0.5,) * n_modes)
+        estimates = ParameterEstimates(config, alpha=alpha)
         expected = estimates.sigma_hat.copy()
         for _ in range(20):
             prev, nxt = (int(i) for i in rng.integers(n_modes, size=2))

@@ -88,11 +88,10 @@ class TestModemFactor:
 
 def app_matrix_entry_points(sigma):
     """Each way an app-mode transition matrix enters the model, as a callable:
-    the config, the sigma override of ``assemble_stm`` and the planner's estimate."""
+    the config and the sigma override of ``assemble_stm``."""
     return [
         lambda: NodeConfig(app_transition=sigma),
         lambda: assemble_stm(NodeConfig(), sigma=sigma),
-        lambda: ParameterEstimates(sigma, connect_time_hat=2.0),
     ]
 
 
@@ -108,7 +107,7 @@ class TestAppFactor:
         sigma = [[0.9, 0.1], [0.2, 0.8]]
         config = NodeConfig(app_transition=((0.9, 0.1), (0.2, 0.8)))
         assert_array_equal(assemble_stm(NodeConfig(), sigma=sigma), assemble_stm(config))
-        assert_allclose(ParameterEstimates(sigma, connect_time_hat=2.0).sigma_hat, sigma)
+        assert_allclose(ParameterEstimates(config).sigma_hat, sigma)
 
     def test_rejects_non_stochastic_rows(self):
         self.assert_rejected([[0.9, 0.2], [0.2, 0.8]], r"rows \[0\] do not sum to 1")

@@ -25,11 +25,11 @@ from compactmdp import (
     make_controller,
     pareto_sweep,
     simulate,
-    sweep_series,
     write_sweep_csv,
 )
+from compactmdp import sim
+from compactmdp.controllers import DEFAULT_EPSILON_DECAY
 from compactmdp.sim import (
-    DEFAULT_EPSILON_DECAY,
     NQ_SWEEP,
     R2_SWEEP,
     SERIES_LABELS,
@@ -64,13 +64,13 @@ class TestSimulateBasics:
 
     def test_idle_connection_costs_the_intercept(self):
         # One transaction with zero packets: the affine model's intercept.
-        m = run(AlwaysOnController(), frames=100, node=QUIET)
+        m = run(AlwaysOnController(QUIET), frames=100, node=QUIET)
         assert m.transactions == 1
         assert abs(m.transaction_energy - 5.07) < 1e-12
 
     def test_idle_connection_current_accounting(self):
         # 20 frames attaching at 120 mA, 80 connected at 162.5 mA, 4 V rail.
-        m = run(AlwaysOnController(), frames=100, node=QUIET)
+        m = run(AlwaysOnController(QUIET), frames=100, node=QUIET)
         assert abs(m.reward_total - (-154.0)) < 1e-9
         assert abs(m.modem_current_energy - 6.16) < 1e-9
 
@@ -83,7 +83,7 @@ class TestSimulateBasics:
             Scenario(seed=-1)
 
     def test_always_on_latency_is_bounded_by_the_attach(self):
-        m = run(AlwaysOnController(), frames=20000)
+        m = run(AlwaysOnController(NodeConfig()), frames=20000)
         assert m.packets_transmitted > 0
         assert m.avg_latency <= 2.0 + 0.1
 
@@ -99,7 +99,7 @@ class TestConservationAndDeterminism:
     def controllers(self):
         yield ThresholdController(NodeConfig(), 1)
         yield ThresholdController(NodeConfig(), 5)
-        yield AlwaysOnController()
+        yield AlwaysOnController(NodeConfig())
         yield StructuredController(NodeConfig(), solve_period=100.0)
         yield QLearningController(NodeConfig(), seed=9)
 
@@ -170,9 +170,16 @@ class TestConservationAndDeterminism:
             run(controller, frames=20000, node=NodeConfig(frame_period=0.2))
         assert controller.solve_count == 0
 
-    def test_undeclared_controller_is_not_checked(self):
-        node = NodeConfig(queue_states=4)
-        assert run(AlwaysOnController(), frames=100, node=node).frames == 100
+    def test_controller_without_config_is_refused_before_it_acts(self):
+        class Undeclared:
+            def act(self, state, frame=0):
+                raise AssertionError("the run started")
+
+            def observe(self, s, action, reward, s_next, frame):
+                return None
+
+        with pytest.raises(AttributeError, match="config"):
+            run(Undeclared(), frames=100)
 
 
 class RecordingController(ThresholdController):
@@ -288,7 +295,7 @@ class TestMakeController:
     def test_threshold_policy_is_one_action_per_flat_state(self):
         config = NodeConfig(queue_states=4)
         controller = ThresholdController(config, 2)
-        assert len(controller.policy) == controller.n_states == config.n_states
+        assert len(controller.policy) == config.n_states
         for s, action in enumerate(controller.policy):
             state = NodeState.from_flat(s, 4)
             on = state.queue >= 2 or (state.modem != 0 and state.queue > 0)
@@ -327,14 +334,27 @@ class TestSweep:
 
     def test_rejects_an_empty_seed_list(self):
         with pytest.raises(ValueError, match="at least one seed"):
-            sweep_series(Scenario(duration_frames=500), "on-off", [2], seeds=())
+            pareto_sweep(
+                Scenario(duration_frames=500), series=("on-off",), nq_values=[2], seeds=()
+            )
 
     def test_single_value_sweep(self):
-        points = sweep_series(
-            Scenario(duration_frames=500), "on-off", [2], seeds=(0,)
+        points = pareto_sweep(
+            Scenario(duration_frames=500), series=("on-off",), nq_values=[2], seeds=(0,)
         )
         assert len(points) == 1
         assert points[0].value == 2.0
+
+    def test_bad_grid_value_fails_before_any_run(self, monkeypatch):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        with pytest.raises(ValueError, match="queue threshold 20 is above the queue capacity 10"):
+            pareto_sweep(
+                Scenario(duration_frames=500), series=("mdp", "on-off"),
+                r2_values=[5.0], nq_values=[3, 20], seeds=(0, 1),
+            )
 
     def test_csv_round_trip(self, tiny_points):
         buffer = io.StringIO()
