@@ -2,9 +2,9 @@
 
 The package splits into a small generic layer and a case study built on it:
 
-* :mod:`compactmdp.core` — stacked-matrix MDP container, validation, and a
-  dense value-iteration reference solver.
-* :mod:`compactmdp.sparse` — COO/CSR containers, the four solver kernels, and
+* :mod:`compactmdp.core` — stacked-matrix MDP container (holding the matrix
+  in CSR form), validation, and a dense value-iteration reference solver.
+* :mod:`compactmdp.sparse` — the CSR container, the four solver kernels, and
   embedded-target storage accounting.
 * :mod:`compactmdp.solver` — sparse value iteration with cost counters.
 * :mod:`compactmdp.node` — the factored sensor-node model (traffic, radio,
@@ -66,7 +66,6 @@ from .sim import (
 )
 from .solver import SolveResult, solve_cost, svi_solve
 from .sparse import (
-    SparseMatrixCOO,
     SparseMatrixCSR,
     StorageReport,
     coo_to_csr,
@@ -101,7 +100,6 @@ __all__ = [
     "SimMetrics",
     "SolveResult",
     "SweepPoint",
-    "SparseMatrixCOO",
     "SparseMatrixCSR",
     "StorageReport",
     "StructuredController",

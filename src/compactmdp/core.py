@@ -4,15 +4,18 @@ Conventions used throughout the package:
 
 * A finite MDP with ``n_states`` states and ``n_actions`` actions stores its
   transition kernel as a single stacked matrix of shape
-  ``(n_states * n_actions, n_states)``: row ``action * n_states + state``
-  holds the distribution over successor states for that state/action pair
-  (action-major flattening).  Reward vectors use the same indexing.
+  ``(n_states * n_actions, n_states)``, held as a
+  :class:`~compactmdp.sparse.SparseMatrixCSR`: row
+  ``action * n_states + state`` holds the distribution over successor states
+  for that state/action pair (action-major flattening).  Reward vectors use
+  the same indexing.  A model given as a dense matrix enters through
+  :func:`~compactmdp.sparse.to_sparse`.
 * Deterministic policies are arrays mapping each state to the lowest-index
   maximizing action (ties break toward the smaller action index).
 
-``dense_value_iteration`` here is the reference solver: it works on the dense
-stacked matrix with ordinary matrix products and is used as the independent
-oracle for the sparse solver.
+``dense_value_iteration`` here is the reference solver: it expands the stacked
+matrix with ``.dense()`` and uses ordinary matrix products, and is the
+independent oracle for the sparse solver.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .sparse import SparseMatrixCSR
 
 #: Tolerance applied to row sums when checking stochasticity.  Deviations
 #: beyond this are treated as modeling errors, never silently renormalized.
@@ -52,7 +57,7 @@ class MdpSpec:
         Dimensions of the state and action sets.
     rewards : ndarray, shape (n_states * n_actions,)
         Immediate reward for each (state, action) row.
-    transitions : ndarray, shape (n_states * n_actions, n_states)
+    transitions : SparseMatrixCSR, shape (n_states * n_actions, n_states)
         Stacked transition matrix; each row should be a probability
         distribution over successor states (checked by :func:`validate`,
         enforced by the solvers).
@@ -65,7 +70,7 @@ class MdpSpec:
     n_states: int
     n_actions: int
     rewards: np.ndarray
-    transitions: np.ndarray
+    transitions: SparseMatrixCSR
     discount: float = 0.95
     tolerance: float = 1e-6
 
@@ -77,19 +82,19 @@ class MdpSpec:
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
         rewards = np.asarray(self.rewards, dtype=float)
-        transitions = np.asarray(self.transitions, dtype=float)
         n_rows = self.n_states * self.n_actions
         if rewards.shape != (n_rows,):
             raise ValueError(
                 f"rewards must have shape ({n_rows},), got {rewards.shape}"
             )
-        if transitions.shape != (n_rows, self.n_states):
+        if not isinstance(self.transitions, SparseMatrixCSR):
+            raise TypeError("transitions must be a SparseMatrixCSR (see to_sparse)")
+        shape = (self.transitions.n_rows, self.transitions.n_cols)
+        if shape != (n_rows, self.n_states):
             raise ValueError(
-                "transitions must have shape "
-                f"({n_rows}, {self.n_states}), got {transitions.shape}"
+                f"transitions must have shape ({n_rows}, {self.n_states}), got {shape}"
             )
         object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "transitions", transitions)
 
 
 @dataclass
@@ -101,19 +106,19 @@ class ViolationReport:
 
 
 def stochastic_problems(matrix, name):
-    """Why the 2-D ``matrix`` is not row-stochastic, one message per fault; ``[]`` if it is.
+    """Why the CSR ``matrix`` is not row-stochastic, one message per fault; ``[]`` if it is.
 
     The faults are non-finite entries (reported alone), negative entries, and
     row sums off 1 by more than ``ROW_SUM_TOLERANCE``.  Nothing is repaired.
     """
-    non_finite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if non_finite.size:
-        return [f"{name} has non-finite entries in rows {non_finite.tolist()}"]
+    non_finite = sorted(set(matrix.row_idx[~np.isfinite(matrix.values)].tolist()))
+    if non_finite:
+        return [f"{name} has non-finite entries in rows {non_finite}"]
     messages = []
-    negative = np.flatnonzero((matrix < 0.0).any(axis=1))
-    if negative.size:
-        messages.append(f"{name} has negative entries in rows {negative.tolist()}")
-    row_sums = matrix.sum(axis=1)
+    negative = sorted(set(matrix.row_idx[matrix.values < 0.0].tolist()))
+    if negative:
+        messages.append(f"{name} has negative entries in rows {negative}")
+    row_sums = np.bincount(matrix.row_idx, weights=matrix.values, minlength=matrix.n_rows)
     off = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
     if off.size:
         sums = (f"row {r} sums to {t!r}" for r, t in zip(off.tolist(), row_sums[off].tolist()))
@@ -178,7 +183,7 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     if not report.ok:
         raise ValueError("invalid MDP: " + "; ".join(report.messages))
 
-    m = spec.transitions
+    m = spec.transitions.dense()
     r = spec.rewards
     beta = spec.discount
     v = np.zeros(spec.n_states)

@@ -16,8 +16,11 @@ modem moves first (so the frame is spent in the *new* modem state), the
 application may emit a packet, and the queue then drains by up to
 ``tx_per_frame`` packets if the modem ends the frame connected, or absorbs the
 arrival (dropping on overflow) otherwise.  The transition factors below encode
-exactly those semantics, and the simulator in :mod:`compactmdp.sim` steps the
-same way, so the model is the simulator's exact marginal.
+those semantics, and the simulator in :mod:`compactmdp.sim` steps the same
+way, with one approximation: the simulator completes an attach in exactly
+``N = floor(connect_time / frame_period)`` frames, while the model leaves
+``M_CONNECTING`` with probability ``rho = 1 / N`` per frame.  The two attach
+times have the same mean, ``N`` frames.
 
 A :class:`NodeConfig` is checked once, when it is built (or ``replace``-d), so
 the functions here check only their own extra arguments, such as a ``sigma``
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MdpSpec, stochastic_problems
+from .sparse import coo_to_csr, to_sparse
 
 # Modem states.
 M_OFF, M_CONNECTING, M_CONNECTED = 0, 1, 2
@@ -117,7 +121,7 @@ class NodeConfig:
         Maximum packets transmitted per connected frame.
     energy_c1, energy_c2 : float
         Transaction energy model: a transaction carrying ``n`` packets costs
-        ``c1 + c2 * (n - 1)`` joules.
+        ``(c1 - c2) + c2 * n`` joules (see :func:`energy_per_transaction`).
     reward_weights : tuple
         ``(current_weight, tx_reward, drop_penalty)``: the objective of a
         controller built for this node; :func:`compactmdp.sim.simulate`
@@ -152,7 +156,14 @@ class NodeConfig:
         return self.n_app_modes * self.queue_states * N_MODEM_STATES
 
     def __post_init__(self):
-        """Raise :class:`NodeConfigError` naming every fault; every float must be finite."""
+        """Raise :class:`NodeConfigError` naming every fault; every float must be finite.
+
+        The matrix and vectors are kept as tuples of float, so configs hash and compare.
+        """
+        matrix = tuple(tuple(float(x) for x in row) for row in self.app_transition)
+        object.__setattr__(self, "app_transition", matrix)
+        for name in ("app_packet_prob", "currents_ma", "reward_weights"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         faults = []
 
         def fault(message, *names):
@@ -208,7 +219,7 @@ def app_transition_problems(sigma, n_modes):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n_modes, n_modes):
         return [f"app_transition shape {sigma.shape} does not match {n_modes} modes"]
-    return stochastic_problems(sigma, "app_transition")
+    return stochastic_problems(to_sparse(sigma), "app_transition")
 
 
 def modem_stm(rho):
@@ -233,27 +244,30 @@ def modem_stm(rho):
     return np.stack([off, on])
 
 
-def queue_stm(config, modem_next):
-    """Queue transition matrices given the end-of-frame modem state.
+def queue_factor(config):
+    """The queue factor as two outcomes per row: ``(dest, prob)``.
 
-    Returns an array of shape ``(n_app_modes, queue_states, queue_states)``;
-    layer ``i`` uses mode ``i``'s arrival probability.  A connected frame
-    enqueues the arrival and then drains up to ``tx_per_frame`` packets; a
-    disconnected frame only absorbs the arrival, saturating at capacity (the
-    overflow arrival is dropped, not stored).
+    From level ``q``, a frame ending in modem state ``m2`` moves the queue to
+    ``dest[q, 0, m2]`` without an arrival, with probability
+    ``prob[mode, q, 0, m2] = 1 - p``, and to ``dest[q, 1, m2]`` with one, with
+    ``p``, the mode's arrival probability.  A connected frame enqueues the
+    arrival and then drains up to ``tx_per_frame`` packets; a disconnected
+    frame only absorbs it, dropping it at capacity.  Where both outcomes land
+    on one level, the first holds ``(1 - p) + p``, added in that order, and
+    the second 0.
     """
-    drain = config.tx_per_frame if modem_next == M_CONNECTED else 0
-    p = np.array(config.app_packet_prob, dtype=float)[:, None]
-    q = np.arange(config.queue_states)
-    out = np.zeros((config.n_app_modes, q.size, q.size))
-    # Where both outcomes land in one cell it holds (1 - p) + p, added in that order.
-    out[:, q, np.maximum(q - drain, 0)] += 1.0 - p
-    out[:, q, np.minimum(np.maximum(q + 1 - drain, 0), config.capacity)] += p
-    return out
+    q = np.arange(config.queue_states)[:, None]
+    drain = np.where(np.arange(N_MODEM_STATES) == M_CONNECTED, config.tx_per_frame, 0)
+    idle = np.maximum(q - drain, 0)
+    arrival = np.minimum(np.maximum(q + 1 - drain, 0), config.capacity)
+    p = np.array(config.app_packet_prob, dtype=float)[:, None, None]
+    merged = idle == arrival
+    prob = np.stack([np.where(merged, (1.0 - p) + p, 1.0 - p), np.where(merged, 0.0, p)], axis=2)
+    return np.stack([idle, arrival], axis=1), prob
 
 
 def assemble_stm(config, sigma=None, rho=None):
-    """Assemble the stacked transition matrix from the three factors.
+    """Assemble the stacked transition matrix, in CSR form, from the three factors.
 
     The state index follows :meth:`NodeState.flat` and rows follow the
     action-major layout described in :mod:`compactmdp.core`.  The joint
@@ -263,8 +277,10 @@ def assemble_stm(config, sigma=None, rho=None):
           = p(app' | app) * p(queue' | modem', queue, app) * p(modem' | modem, action)
 
     with the queue factor conditioned on the *successor* modem state, since
-    drain depends on where the modem ends the frame.  Because each factor is
-    row-stochastic the product rows sum to 1 by construction.
+    drain depends on where the modem ends the frame.  Each product is taken
+    in that order, and exact zeros are dropped.  Because each factor is
+    row-stochastic the product rows sum to 1 by construction.  Only the two
+    queue outcomes of each row are formed, so no dense ``S²·A`` matrix exists.
 
     Parameters
     ----------
@@ -276,7 +292,7 @@ def assemble_stm(config, sigma=None, rho=None):
 
     Returns
     -------
-    ndarray, shape (n_states * 2, n_states)
+    SparseMatrixCSR, shape (n_states * 2, n_states)
     """
     if sigma is None:
         sigma = config.app_transition
@@ -286,27 +302,29 @@ def assemble_stm(config, sigma=None, rho=None):
     if rho is None:
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
     modem = modem_stm(rho)
-
-    n = config.n_states
-    # Queue factor stacked over the successor modem state: qf[m2, mode, q, q2].
-    qf = np.stack([queue_stm(config, m2) for m2 in range(N_MODEM_STATES)])
-    stacked = np.empty((N_ACTIONS * n, n))
-    for action in range(N_ACTIONS):
-        # joint[mode, q, m, mode2, q2, m2]
-        joint = np.einsum("ij,mikl,nm->iknjlm", sigma, qf, modem[action])
-        stacked[action * n : (action + 1) * n] = joint.reshape(n, n)
-    return stacked
+    dest, prob = queue_factor(config)
+    # joint[action, mode, queue, modem, mode', outcome, modem'], multiplied in
+    # the order above; the successor's queue level is dest[queue, outcome, modem'].
+    joint = (
+        sigma[None, :, None, None, :, None, None] * prob[None, :, :, None, None]
+    ) * modem[:, None, None, :, None, None, :]
+    a, i, q, m, i2, e, m2 = entries = np.nonzero(joint)
+    nq, n = config.queue_states, config.n_states
+    rows = ((a * config.n_app_modes + i) * nq + q) * N_MODEM_STATES + m
+    cols = (i2 * nq + dest[q, e, m2]) * N_MODEM_STATES + m2
+    return coo_to_csr(N_ACTIONS * n, n, rows, cols, joint[entries])
 
 
 def energy_per_transaction(n_packets, c1=NodeConfig.energy_c1, c2=NodeConfig.energy_c2):
-    """Energy in joules for one modem transaction carrying ``n_packets``.
+    """Energy in joules for one modem transaction carrying ``n_packets`` >= 0.
 
-    Affine in the packet count: the first packet pays the connection overhead
-    ``c1``, each further packet adds ``c2``.
+    Affine in the packet count, ``(c1 - c2) + c2 * n_packets``: a one-packet
+    transaction costs ``c1`` and each further packet adds ``c2``.  An empty
+    transaction (an attach that sent nothing) costs the intercept ``c1 - c2``.
     """
-    if n_packets < 1:
-        raise ValueError(f"a transaction carries at least one packet, got {n_packets}")
-    return c1 + c2 * (n_packets - 1)
+    if n_packets < 0:
+        raise ValueError(f"a transaction carries n >= 0 packets, got {n_packets}")
+    return (c1 - c2) + c2 * n_packets
 
 
 def reward_vector(config, rho=None):
@@ -346,7 +364,7 @@ def reward_vector(config, rho=None):
 
 
 def build_mdp(config, sigma=None, rho=None):
-    """Bundle the assembled transition matrix and reward vector as an MDP."""
+    """Bundle the CSR transition matrix of :func:`assemble_stm` and the reward vector as an MDP."""
     return MdpSpec(
         n_states=config.n_states,
         n_actions=N_ACTIONS,
@@ -359,4 +377,4 @@ def build_mdp(config, sigma=None, rho=None):
 
 def stm_nonzeros(config, sigma=None, rho=None):
     """Number of nonzero entries in the assembled stacked transition matrix."""
-    return int(np.count_nonzero(assemble_stm(config, sigma=sigma, rho=rho)))
+    return assemble_stm(config, sigma=sigma, rho=rho).nnz

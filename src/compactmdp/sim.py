@@ -6,7 +6,7 @@ modem moves (a real attach takes a deterministic ``floor(connect_time /
 frame_period)`` frames), the application may emit a packet, and the queue
 drains or absorbs.  Latency is tracked per packet from enqueue frame to
 transmit frame; energy is tracked per modem transaction with the affine
-transaction model.
+transaction model, :func:`~compactmdp.node.energy_per_transaction`.
 
 Scenarios can change the true environment parameters mid-run (attach delay,
 app-mode statistics, packet probabilities) through a piecewise-constant
@@ -42,6 +42,7 @@ from .node import (
     N_MODEM_STATES,
     SUPPLY_VOLTS,
     NodeConfig,
+    energy_per_transaction,
     floor_frames,
 )
 from .controllers import (
@@ -284,7 +285,7 @@ def simulate(scenario, controller):
         elif modem != M_OFF:
             modem = M_OFF
             transactions += 1
-            transaction_energy += (c1 - c2) + c2 * transaction_packets
+            transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
 
         # Application: packet emission uses this frame's mode.
         n_tx = 0
@@ -318,7 +319,7 @@ def simulate(scenario, controller):
     # A transaction still open at the end (modem not off) is counted too.
     if modem != M_OFF:
         transactions += 1
-        transaction_energy += (c1 - c2) + c2 * transaction_packets
+        transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
 
     avg_latency = (
         latency_frames * frame_period / transmitted if transmitted else float("nan")

@@ -1,7 +1,8 @@
 """Sparse value iteration.
 
-The stacked transition matrix is converted to CSR once, then the fixed-point
-loop applies the four kernels from :mod:`compactmdp.sparse` until the value
+The :class:`~compactmdp.core.MdpSpec` carries its stacked transition matrix
+in CSR form, so the solver checks it once and then the fixed-point loop
+applies the four kernels from :mod:`compactmdp.sparse` to it until the value
 function stops moving:
 
     T = sparse_mult(M, V)          # expected next-state values, per row
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError, validate
-from .sparse import coo_to_csr, inf_norm_diff, max_reduce, saxpy, sparse_mult, to_sparse
+from .sparse import inf_norm_diff, max_reduce, saxpy, sparse_mult
+from .sparse import coo_to_csr, to_sparse  # noqa: F401  traced by perfbench until ROADMAP item 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     if not report.ok:
         raise ValueError("invalid MDP: " + "; ".join(report.messages))
 
-    csr = coo_to_csr(to_sparse(spec.transitions))
+    csr = spec.transitions
     rewards = spec.rewards
     beta = spec.discount
     v = np.zeros(spec.n_states)

@@ -1,7 +1,8 @@
-"""Sparse matrix containers, value-iteration kernels, and storage accounting.
+"""The CSR container, value-iteration kernels, and storage accounting.
 
-The sparse solver is built from four small kernels that operate on a CSR
-matrix and flat vectors:
+:class:`SparseMatrixCSR` is the one sparse container; :func:`coo_to_csr` and
+:func:`to_sparse` build it.  The sparse solver is built from four small
+kernels that operate on a CSR matrix and flat vectors:
 
 * :func:`sparse_mult` — CSR matrix times dense vector,
 * :func:`saxpy` — scaled vector add,
@@ -10,6 +11,8 @@ matrix and flat vectors:
 
 They are deliberately written against plain index arrays (no library sparse
 types) so the arithmetic path is independent of the dense reference solver.
+They check nothing per call: the shapes are fixed once, when the CSR and the
+:class:`~compactmdp.core.MdpSpec` holding it are built.
 
 Storage accounting mirrors a 32-bit embedded target: matrix entries and value
 cells are charged 4 bytes each, and sparse index columns are charged the
@@ -28,26 +31,6 @@ VALUE_BYTES = 4
 
 
 @dataclass(frozen=True)
-class SparseMatrixCOO:
-    """Coordinate-form sparse matrix: parallel row/column/value arrays."""
-
-    n_rows: int
-    n_cols: int
-    row_idx: np.ndarray
-    col_idx: np.ndarray
-    values: np.ndarray
-
-    @property
-    def nnz(self):
-        return len(self.values)
-
-    def dense(self):
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.row_idx, self.col_idx] = self.values
-        return out
-
-
-@dataclass(frozen=True)
 class SparseMatrixCSR:
     """Compressed-sparse-row matrix.
 
@@ -55,7 +38,8 @@ class SparseMatrixCSR:
     ``col_idx[row_ptr[i]:row_ptr[i+1]]`` / ``values[row_ptr[i]:row_ptr[i+1]]``.
     ``row_idx`` is the same row ownership spelled out per entry (``i``
     repeated ``row_ptr[i+1] - row_ptr[i]`` times), kept so the kernels need
-    not expand ``row_ptr`` on every product.
+    not expand ``row_ptr`` on every product.  Construction checks the array
+    lengths and that every index addresses the matrix.
     """
 
     n_rows: int
@@ -65,55 +49,57 @@ class SparseMatrixCSR:
     values: np.ndarray
     row_idx: np.ndarray
 
+    def __post_init__(self):
+        nnz = len(self.values)
+        if self.row_ptr.shape != (self.n_rows + 1,) or self.row_ptr[-1] != nnz:
+            raise ValueError(f"row_ptr must have {self.n_rows + 1} entries ending at {nnz}")
+        for name, bound in (("col_idx", self.n_cols), ("row_idx", self.n_rows)):
+            index = getattr(self, name)
+            if index.shape != (nnz,) or nnz and not 0 <= index.min() <= index.max() < bound:
+                raise ValueError(f"{name} must hold {nnz} indices in [0, {bound})")
+
     @property
     def nnz(self):
         return len(self.values)
 
+    @property
+    def nbytes(self):
+        """Bytes held by the four arrays."""
+        return sum(a.nbytes for a in (self.row_ptr, self.col_idx, self.values, self.row_idx))
+
     def dense(self):
+        """The matrix as a dense array, for the reference solver and tests."""
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.row_idx, self.col_idx] = self.values
         return out
 
 
-def to_sparse(matrix):
-    """Convert a dense matrix to COO form, dropping exact zeros.
-
-    Entries are emitted in row-major scan order, so the result is already
-    sorted by (row, column).  An all-zero matrix yields empty index arrays.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    rows, cols = np.nonzero(matrix)
-    return SparseMatrixCOO(
-        n_rows=matrix.shape[0],
-        n_cols=matrix.shape[1],
-        row_idx=rows.astype(np.int64),
-        col_idx=cols.astype(np.int64),
-        values=matrix[rows, cols],
-    )
-
-
-def coo_to_csr(coo):
-    """Convert COO to CSR.  Duplicate coordinates are not allowed.
+def coo_to_csr(n_rows, n_cols, rows, cols, values):
+    """Build a CSR matrix from coordinate triples.  Duplicate coordinates are not allowed.
 
     Entries may arrive in any order; they are sorted by (row, column) and the
     row pointer is rebuilt from the per-row counts.
     """
-    order = np.lexsort((coo.col_idx, coo.row_idx))
-    row_idx = coo.row_idx[order]
-    col_idx = coo.col_idx[order]
-    values = coo.values[order]
-    counts = np.bincount(row_idx, minlength=coo.n_rows)
-    row_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    order = np.lexsort((cols, rows))
+    row_idx = rows[order]
+    counts = np.bincount(row_idx, minlength=n_rows)
     return SparseMatrixCSR(
-        n_rows=coo.n_rows,
-        n_cols=coo.n_cols,
-        row_ptr=row_ptr,
-        col_idx=col_idx,
-        values=values,
+        n_rows=n_rows,
+        n_cols=n_cols,
+        row_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
+        col_idx=cols[order],
+        values=values[order],
         row_idx=row_idx,
     )
+
+
+def to_sparse(matrix):
+    """Convert a dense 2-D matrix to CSR, dropping exact zeros."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
+    rows, cols = np.nonzero(matrix)
+    return coo_to_csr(*matrix.shape, rows, cols, matrix[rows, cols])
 
 
 def sparse_mult(m, v):
@@ -121,19 +107,11 @@ def sparse_mult(m, v):
 
     Rows with no stored entries contribute exact zeros.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (m.n_cols,):
-        raise ValueError(f"vector length {v.shape} does not match {m.n_cols} columns")
-    contrib = m.values * v[m.col_idx]
-    return np.bincount(m.row_idx, weights=contrib, minlength=m.n_rows)
+    return np.bincount(m.row_idx, weights=m.values * v[m.col_idx], minlength=m.n_rows)
 
 
 def saxpy(scale, t, r):
     """Elementwise ``r + scale * t`` for equal-length vectors."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if t.shape != r.shape:
-        raise ValueError(f"length mismatch: {t.shape} vs {r.shape}")
     return r + scale * t
 
 
@@ -144,21 +122,12 @@ def max_reduce(q, n_states, n_actions):
     ``(values, policy)`` where ties in the argmax resolve to the lowest action
     index.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (n_states * n_actions,):
-        raise ValueError(
-            f"q has length {q.shape}, expected {n_states * n_actions}"
-        )
     blocks = q.reshape(n_actions, n_states)
     return blocks.max(axis=0), blocks.argmax(axis=0)
 
 
 def inf_norm_diff(a, b):
     """Sup-norm distance ``max_i |a_i - b_i|`` between equal-length vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
 
 

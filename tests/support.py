@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from compactmdp import ACTION_ON, MdpSpec
+from compactmdp import ACTION_ON, MdpSpec, to_sparse
+from compactmdp.node import M_CONNECTED, N_ACTIONS, N_MODEM_STATES, modem_stm, rho_from_connect_time
 
 
 def random_mdp(rng, max_states=50, max_actions=4, sparsity=(0.5, 0.99)):
@@ -25,10 +26,48 @@ def random_mdp(rng, max_states=50, max_actions=4, sparsity=(0.5, 0.99)):
         n_states=n_states,
         n_actions=n_actions,
         rewards=rng.standard_normal(n_rows),
-        transitions=transitions,
+        transitions=to_sparse(transitions),
         discount=float(rng.uniform(0.8, 0.97)),
         tolerance=1e-6,
     )
+
+
+def dense_queue_stm(config, modem_next):
+    """The queue factor as dense matrices, shape ``(n_app_modes, queue_states, queue_states)``.
+
+    Layer ``i`` uses mode ``i``'s arrival probability.  A connected frame
+    enqueues the arrival and then drains up to ``tx_per_frame`` packets; a
+    disconnected frame only absorbs the arrival, saturating at capacity.
+    """
+    drain = config.tx_per_frame if modem_next == M_CONNECTED else 0
+    p = np.array(config.app_packet_prob, dtype=float)[:, None]
+    q = np.arange(config.queue_states)
+    out = np.zeros((config.n_app_modes, q.size, q.size))
+    # Where both outcomes land in one cell it holds (1 - p) + p, added in that order.
+    out[:, q, np.maximum(q - drain, 0)] += 1.0 - p
+    out[:, q, np.minimum(np.maximum(q + 1 - drain, 0), config.capacity)] += p
+    return out
+
+
+def dense_stm(config, sigma=None, rho=None):
+    """The dense oracle of ``assemble_stm``: the ``(S·A, S)`` stacked matrix.
+
+    One ``einsum`` per action multiplies the app factor, the dense queue
+    factor and the modem factor over every (state, successor) cell.
+    """
+    sigma = np.asarray(config.app_transition if sigma is None else sigma, dtype=float)
+    if rho is None:
+        rho = rho_from_connect_time(config.connect_time, config.frame_period)
+    modem = modem_stm(rho)
+    n = config.n_states
+    # Queue factor stacked over the successor modem state: qf[m2, mode, q, q2].
+    qf = np.stack([dense_queue_stm(config, m2) for m2 in range(N_MODEM_STATES)])
+    stacked = np.empty((N_ACTIONS * n, n))
+    for action in range(N_ACTIONS):
+        # joint[mode, q, m, mode2, q2, m2]
+        joint = np.einsum("ij,mikl,nm->iknjlm", sigma, qf, modem[action])
+        stacked[action * n : (action + 1) * n] = joint.reshape(n, n)
+    return stacked
 
 
 class AlwaysOnController:

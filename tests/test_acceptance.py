@@ -89,7 +89,7 @@ def test_criterion_02_transition_matrix_sparsity():
         k_nz = stm_nonzeros(default)
         assert k_nz == 444
         stacked = assemble_stm(default)
-        sparsity = 1.0 - np.count_nonzero(stacked) / stacked.size
+        sparsity = 1.0 - stacked.nnz / (stacked.n_rows * stacked.n_cols)
         assert sparsity >= 0.90
         perturbed = [
             replace(default, app_transition=((0.9, 0.1), (0.3, 0.7))),
@@ -275,7 +275,7 @@ def test_criterion_09_simulation_invariants():
                 connect_time=float(rng.uniform(0.1, 8.0)),
                 tx_per_frame=int(rng.integers(1, 4)),
             )
-            stacked = assemble_stm(config, sigma=sigma)
+            stacked = assemble_stm(config, sigma=sigma).dense()
             worst_row = max(
                 worst_row, float(np.abs(stacked.sum(axis=1) - 1.0).max())
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactmdp import MdpSpec, dense_value_iteration, validate
+from compactmdp import MdpSpec, dense_value_iteration, to_sparse, validate
 from compactmdp.core import ConvergenceError
 
 from support import random_mdp
@@ -18,7 +18,7 @@ def _chain_mdp(beta=0.9):
         n_states=2,
         n_actions=2,
         rewards=np.array([0.0, 1.0, 0.0, 1.0]),
-        transitions=np.vstack([step, step]),
+        transitions=to_sparse(np.vstack([step, step])),
         discount=beta,
     )
 
@@ -30,7 +30,7 @@ class TestDenseValueIteration:
             n_states=1,
             n_actions=1,
             rewards=np.array([2.0]),
-            transitions=np.array([[1.0]]),
+            transitions=to_sparse([[1.0]]),
             discount=0.9,
         )
         values, policy, iterations = dense_value_iteration(spec)
@@ -41,7 +41,7 @@ class TestDenseValueIteration:
     def test_two_state_cycle_matches_linear_fixed_point(self):
         """The cycle's value function solves (I - beta*P) V = R exactly."""
         spec = _chain_mdp()
-        step = spec.transitions[:2]
+        step = spec.transitions.dense()[:2]
         oracle = np.linalg.solve(np.eye(2) - spec.discount * step, spec.rewards[:2])
         # Frozen from the oracle: beta/(1-beta^2) and 1/(1-beta^2).
         assert_allclose(oracle, [4.736842105263158, 5.263157894736842], rtol=1e-15)
@@ -88,7 +88,7 @@ class TestDenseValueIteration:
             n_states=2,
             n_actions=1,
             rewards=np.zeros(2),
-            transitions=np.array([[0.7, 0.2], [0.5, 0.5]]),
+            transitions=to_sparse([[0.7, 0.2], [0.5, 0.5]]),
         )
         with pytest.raises(ValueError, match="row 0"):
             dense_value_iteration(spec)
@@ -102,7 +102,7 @@ class TestValidate:
 
     def test_reports_every_bad_row_sum(self):
         transitions = np.array([[0.5, 0.4], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
-        spec = MdpSpec(2, 2, np.zeros(4), transitions)
+        spec = MdpSpec(2, 2, np.zeros(4), to_sparse(transitions))
         report = validate(spec)
         assert not report.ok
         text = " ".join(report.messages)
@@ -110,20 +110,20 @@ class TestValidate:
 
     def test_reports_negative_entries(self):
         transitions = np.array([[1.2, -0.2], [0.0, 1.0]])
-        spec = MdpSpec(2, 1, np.zeros(2), transitions)
+        spec = MdpSpec(2, 1, np.zeros(2), to_sparse(transitions))
         report = validate(spec)
         assert not report.ok
         assert any("negative" in m for m in report.messages)
 
     def test_reports_nan_anywhere(self):
-        spec = MdpSpec(2, 1, np.array([0.0, np.nan]), np.eye(2))
+        spec = MdpSpec(2, 1, np.array([0.0, np.nan]), to_sparse(np.eye(2)))
         assert not validate(spec).ok
         bad = np.array([[np.nan, 0.5], [0.0, 1.0]])
-        assert not validate(MdpSpec(2, 1, np.zeros(2), bad)).ok
+        assert not validate(MdpSpec(2, 1, np.zeros(2), to_sparse(bad))).ok
 
     def test_reports_infinite_entries(self):
         bad = np.array([[1.0, 0.0], [np.inf, -np.inf]])
-        report = validate(MdpSpec(2, 1, np.array([np.inf, 0.0]), bad))
+        report = validate(MdpSpec(2, 1, np.array([np.inf, 0.0]), to_sparse(bad)))
         assert report.messages == [
             "rewards are not finite at rows [0]",
             "transitions has non-finite entries in rows [1]",
@@ -133,16 +133,20 @@ class TestValidate:
 class TestMdpSpecConstruction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            MdpSpec(2, 1, np.zeros(3), np.eye(2))
+            MdpSpec(2, 1, np.zeros(3), to_sparse(np.eye(2)))
         with pytest.raises(ValueError):
-            MdpSpec(2, 1, np.zeros(2), np.eye(3))
+            MdpSpec(2, 1, np.zeros(2), to_sparse(np.eye(3)))
+
+    def test_dense_transitions_rejected(self):
+        with pytest.raises(TypeError, match="to_sparse"):
+            MdpSpec(2, 1, np.zeros(2), np.eye(2))
 
     def test_bad_discount_rejected(self):
         with pytest.raises(ValueError):
-            MdpSpec(1, 1, np.zeros(1), np.ones((1, 1)), discount=1.0)
+            MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), discount=1.0)
         with pytest.raises(ValueError):
-            MdpSpec(1, 1, np.zeros(1), np.ones((1, 1)), discount=-0.1)
+            MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), discount=-0.1)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            MdpSpec(1, 1, np.zeros(1), np.ones((1, 1)), tolerance=0.0)
+            MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), tolerance=0.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -19,6 +19,7 @@ from compactmdp import (
     reward_vector,
     rho_from_connect_time,
     stm_nonzeros,
+    to_sparse,
     validate,
 )
 from compactmdp.core import stochastic_problems
@@ -27,8 +28,10 @@ from compactmdp.node import (
     ACTION_ON,
     floor_frames,
     modem_stm,
-    queue_stm,
+    queue_factor,
 )
+
+from support import dense_stm
 
 
 class TestTimingHelpers:
@@ -106,7 +109,8 @@ class TestAppFactor:
     def test_accepts_and_returns_matrix(self):
         sigma = [[0.9, 0.1], [0.2, 0.8]]
         config = NodeConfig(app_transition=((0.9, 0.1), (0.2, 0.8)))
-        assert_array_equal(assemble_stm(NodeConfig(), sigma=sigma), assemble_stm(config))
+        assert_array_equal(assemble_stm(NodeConfig(), sigma=sigma).dense(),
+                           assemble_stm(config).dense())
         assert_allclose(ParameterEstimates(config).sigma_hat, sigma)
 
     def test_rejects_non_stochastic_rows(self):
@@ -126,16 +130,27 @@ class TestAppFactor:
         self.assert_rejected([[bad, bad], [0.5, 0.5]], r"non-finite entries in rows \[0\]")
 
     def test_shared_rule_reports_each_fault(self):
-        assert stochastic_problems(np.eye(2), "m") == []
-        (message,) = stochastic_problems(np.array([[0.5, 0.6], [0.0, 1.0]]), "m")
+        assert stochastic_problems(to_sparse(np.eye(2)), "m") == []
+        (message,) = stochastic_problems(to_sparse([[0.5, 0.6], [0.0, 1.0]]), "m")
         assert "m rows [0] do not sum to 1" in message
         assert "row 0 sums to 1.1" in message
+
+
+def queue_matrices(config, modem_next):
+    """The two outcomes of :func:`queue_factor` for one successor modem state,
+    summed into one ``queue_states``-square matrix per app mode."""
+    dest, prob = queue_factor(config)
+    out = np.zeros((config.n_app_modes, config.queue_states, config.queue_states))
+    levels = np.arange(config.queue_states)[:, None]
+    for mode in range(config.n_app_modes):
+        np.add.at(out[mode], (levels, dest[..., modem_next]), prob[mode, ..., modem_next])
+    return out
 
 
 class TestQueueFactor:
     def test_disconnected_saturates_at_capacity(self):
         config = NodeConfig(app_packet_prob=(0.3, 1.0))
-        q = queue_stm(config, M_OFF)
+        q = queue_matrices(config, M_OFF)
         # Empty queue: stay with 0.7, grow with 0.3.
         assert_allclose(q[0, 0, :2], [0.7, 0.3])
         # Full queue: the arrival is dropped, all mass stays put.
@@ -145,7 +160,7 @@ class TestQueueFactor:
 
     def test_connected_drains_before_counting(self):
         config = NodeConfig(app_packet_prob=(0.4, 1.0), tx_per_frame=1)
-        q = queue_stm(config, M_CONNECTED)
+        q = queue_matrices(config, M_CONNECTED)
         assert_allclose(q[0, 3, 2], 0.6)
         assert_allclose(q[0, 3, 3], 0.4)
         # An empty queue can still catch and send the same-frame arrival.
@@ -154,25 +169,25 @@ class TestQueueFactor:
     def test_rows_stochastic_for_every_modem_outcome(self):
         config = NodeConfig()
         for modem_next in (M_OFF, M_CONNECTING, M_CONNECTED):
-            q = queue_stm(config, modem_next)
+            q = queue_matrices(config, modem_next)
             assert_allclose(q.sum(axis=2), 1.0, atol=1e-15)
 
 
 class TestAssembly:
     def test_default_shape_and_nonzeros(self):
         stacked = assemble_stm(NodeConfig())
-        assert stacked.shape == (132, 66)
-        assert np.count_nonzero(stacked) == 444
+        assert (stacked.n_rows, stacked.n_cols) == (132, 66)
+        assert stacked.nnz == np.count_nonzero(stacked.values) == 444
         assert stm_nonzeros(NodeConfig()) == 444
 
     def test_rows_sum_to_one(self):
-        stacked = assemble_stm(NodeConfig())
+        stacked = assemble_stm(NodeConfig()).dense()
         assert np.abs(stacked.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_marginal_over_successors_recovers_app_factor(self):
         config = NodeConfig()
         sigma = np.array([[0.9, 0.1], [0.3, 0.7]])
-        stacked = assemble_stm(config, sigma=sigma)
+        stacked = assemble_stm(config, sigma=sigma).dense()
         nq = config.queue_states
         for action in (ACTION_OFF, ACTION_ON):
             for mode in range(2):
@@ -187,14 +202,14 @@ class TestAssembly:
             app_packet_prob=(0.0, 0.0),
             connect_time=0.1,  # attach completes in one frame
         )
-        stacked = assemble_stm(config)
+        stacked = assemble_stm(config).dense()
         assert np.count_nonzero(stacked) == 132
         assert_array_equal(np.sort(stacked[stacked > 0]), np.ones(132))
 
     def test_estimate_overrides_change_only_their_factor(self):
         config = NodeConfig()
-        base = assemble_stm(config)
-        slower = assemble_stm(config, rho=rho_from_connect_time(4.0, 0.1))
+        base = assemble_stm(config).dense()
+        slower = assemble_stm(config, rho=rho_from_connect_time(4.0, 0.1)).dense()
         # Rows out of CONNECTING under "on" change; rows out of OFF do not.
         nq = config.queue_states
         off_row = NodeState(0, 0, M_OFF).flat(nq) + 66  # on action
@@ -216,9 +231,11 @@ class TestEnergyModel:
         ]
         assert_allclose(diffs, 1.55, atol=1e-12)
 
-    def test_rejects_empty_transaction(self):
+    def test_empty_transaction_costs_c1_minus_c2(self):
+        assert energy_per_transaction(0) == 6.62 - 1.55
+        assert energy_per_transaction(0, c1=3.0, c2=1.0) == 2.0
         with pytest.raises(ValueError):
-            energy_per_transaction(0)
+            energy_per_transaction(-1)
 
 
 class TestReward:
@@ -254,6 +271,20 @@ class TestNodeConfig:
         assert config.n_app_modes == 2
         assert config.capacity == 10
         assert config.n_states == 66
+
+    def test_array_built_config_hashes_and_equals_the_tuple_built_one(self):
+        config = NodeConfig(
+            app_transition=np.array([[0.99, 0.01], [0.5, 0.5]]),
+            app_packet_prob=np.array([0.05, 1.0]),
+            currents_ma=np.array([0.0, 120.0, 162.5]),
+            reward_weights=np.array([-10.0, 5.0, -100.0]),
+        )
+        assert config == NodeConfig()
+        assert hash(config) == hash(NodeConfig())
+        assert {config: 1}[NodeConfig()] == 1
+        assert config.app_transition == ((0.99, 0.01), (0.5, 0.5))
+        vectors = config.app_packet_prob + config.currents_ma + config.reward_weights
+        assert all(type(x) is float for x in vectors + config.app_transition[0])
 
     def test_build_mdp_is_valid(self):
         spec = build_mdp(NodeConfig())
@@ -359,14 +390,42 @@ def node_models(draw):
     return config, draw(stochastic_matrices(modes)), draw(st.floats(1e-6, 1.0))
 
 
+@st.composite
+def csr_models(draw):
+    """A node model as :func:`node_models` draws it, with exact zeros in the
+    runtime sigma (each row keeps at least its diagonal) and rho = 1 half the time."""
+    config, sigma, rho = draw(node_models())
+    n = len(sigma)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    keep |= np.eye(n, dtype=bool)
+    sigma = np.where(keep, sigma, 0.0)
+    sigma /= sigma.sum(axis=1, keepdims=True)
+    return config, sigma, draw(st.sampled_from([1.0, rho]))
+
+
 class TestFactoredConstruction:
     """The vectorised model equals the per-cell frame semantics, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(csr_models())
+    @example((NodeConfig(tx_per_frame=1, connect_time=0.1), np.array([[1.0, 0.0], [0.0, 1.0]]), 1.0))
+    @example((NodeConfig(tx_per_frame=2), np.array([[0.9, 0.1], [0.0, 1.0]]), 1.0))
+    @example((NodeConfig(tx_per_frame=3, app_packet_prob=(0.0, 1.0)),
+              np.array([[0.0, 1.0], [0.5, 0.5]]), 0.05))
+    def test_csr_arrays_match_the_dense_oracle(self, model):
+        """Entry for entry and bit for bit, the CSR of the dense einsum
+        product with its exact zeros dropped."""
+        config, sigma, rho = model
+        got = assemble_stm(config, sigma=sigma, rho=rho)
+        want = to_sparse(dense_stm(config, sigma, rho))
+        for name in ("row_ptr", "col_idx", "values", "row_idx"):
+            assert_array_equal(getattr(got, name), getattr(want, name))
 
     @settings(max_examples=60, deadline=None)
     @given(node_models())
     def test_transitions_match_per_cell_evaluation(self, model):
         config, sigma, rho = model
-        assert np.array_equal(assemble_stm(config, sigma=sigma, rho=rho),
+        assert np.array_equal(assemble_stm(config, sigma=sigma, rho=rho).dense(),
                               per_cell_stm(config, sigma, rho))
 
     @settings(max_examples=60, deadline=None)
@@ -379,5 +438,5 @@ class TestFactoredConstruction:
         config = NodeConfig()
         rho = rho_from_connect_time(config.connect_time, config.frame_period)
         sigma = np.asarray(config.app_transition)
-        assert np.array_equal(assemble_stm(config), per_cell_stm(config, sigma, rho))
+        assert np.array_equal(assemble_stm(config).dense(), per_cell_stm(config, sigma, rho))
         assert np.array_equal(reward_vector(config), per_cell_rewards(config, rho))

@@ -1,16 +1,21 @@
 """Sparse value iteration against the dense reference solver."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from compactmdp import (
     MdpSpec,
+    NodeConfig,
     build_mdp,
     dense_value_iteration,
     load_scenario,
     solve_cost,
     svi_solve,
+    to_sparse,
 )
 from compactmdp.core import ConvergenceError
 
@@ -18,7 +23,7 @@ from support import random_mdp
 
 
 def test_single_state_geometric_series():
-    spec = MdpSpec(1, 1, np.array([2.0]), np.array([[1.0]]), discount=0.9)
+    spec = MdpSpec(1, 1, np.array([2.0]), to_sparse([[1.0]]), discount=0.9)
     result = svi_solve(spec)
     assert_allclose(result.values, [20.0], atol=1e-5)
     assert result.final_delta < spec.tolerance
@@ -46,6 +51,20 @@ def test_agrees_with_dense_solver_on_case_study():
     assert result.k_nz == 444
 
 
+def test_large_node_solves_in_memory_linear_in_nonzeros():
+    """12 000 states: the dense stacked matrix alone would take 2.3 GB."""
+    config = replace(NodeConfig(), queue_states=2000)
+    tracemalloc.start()
+    try:
+        result = svi_solve(build_mdp(config))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_states == 12_000
+    assert result.final_delta < config.tolerance
+    assert peak < 64 * 2**20
+
+
 def test_kernel_op_count_is_iterations_times_nonzeros():
     spec = build_mdp(load_scenario("default").node)
     result = svi_solve(spec)
@@ -63,13 +82,13 @@ def test_deterministic_rerun_is_bitwise_identical():
 
 
 def test_rejects_invalid_rows():
-    spec = MdpSpec(2, 1, np.zeros(2), np.array([[0.6, 0.3], [0.0, 1.0]]))
+    spec = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="row 0"):
         svi_solve(spec)
 
 
 def test_iteration_cap_raises_with_last_iterate():
-    spec = MdpSpec(1, 1, np.array([1.0]), np.array([[1.0]]), discount=0.99)
+    spec = MdpSpec(1, 1, np.array([1.0]), to_sparse([[1.0]]), discount=0.99)
     with pytest.raises(ConvergenceError) as excinfo:
         svi_solve(spec, max_iterations=5)
     assert excinfo.value.iterations == 5
@@ -86,7 +105,7 @@ class TestSolveCost:
 
     def test_identity_matrix_ratio_equals_state_count(self):
         n = 7
-        spec = MdpSpec(n, 1, np.ones(n), np.eye(n), discount=0.5)
+        spec = MdpSpec(n, 1, np.ones(n), to_sparse(np.eye(n)), discount=0.5)
         cost = solve_cost(svi_solve(spec))
         assert cost.ratio == n
 
@@ -94,6 +113,6 @@ class TestSolveCost:
         rng = np.random.default_rng(2)
         m = rng.random((3, 3)) + 0.05
         m /= m.sum(axis=1, keepdims=True)
-        spec = MdpSpec(3, 1, np.zeros(3), m, discount=0.5)
+        spec = MdpSpec(3, 1, np.zeros(3), to_sparse(m), discount=0.5)
         cost = solve_cost(svi_solve(spec))
         assert cost.ratio == 1.0
