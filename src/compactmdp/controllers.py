@@ -50,6 +50,14 @@ DEFAULT_ALPHA = 0.1
 #: Q-learning's exploration rate.
 DEFAULT_EPSILON = 0.05
 
+#: Exploration uniforms Q-learning draws from its generator at a time.
+EXPLORATION_BLOCK = 128
+
+#: Q-learning draws its uniforms in blocks only while epsilon is below this
+#: rate.  An exploration costs a block two generator-state copies, a replay
+#: and a fresh block, about as much as 16 one-at-a-time draws.
+BLOCK_MAX_EPSILON = 1 / 16
+
 #: Q-learning's per-frame exploration decay: halves epsilon every ~12
 #: simulated minutes at 0.1 s frames, so its late-run behavior reflects what
 #: it learned rather than residual dithering.  1.0 keeps epsilon constant.
@@ -232,6 +240,17 @@ class QLearningController:
     The Q-table is flat action-major (same layout as the stacked MDP rows).
     Greedy ties resolve to the lowest action index, so an untrained table
     keeps the modem off.  It discounts by ``config.discount``, as the planner does.
+
+    Each frame with ``epsilon > 0`` uses one uniform from ``rng`` and explores
+    when it is below ``epsilon``; an exploring frame then draws its action with
+    ``rng.integers``.  Below :data:`BLOCK_MAX_EPSILON` the uniforms are drawn
+    :data:`EXPLORATION_BLOCK` at a time, so between explorations ``rng`` runs
+    ahead of the draws ``act`` has used.  An exploring frame rewinds ``rng``
+    to the start of its block, replays the uniforms used, and draws its
+    action from there; the next frame starts a new block.  So the actions,
+    and ``rng``'s state right after an exploration, are bit for bit those of
+    one ``rng.random()`` call per frame.  With ``epsilon == 0`` ``act`` draws
+    nothing.
     """
 
     def __init__(self, config, alpha=DEFAULT_ALPHA, epsilon=DEFAULT_EPSILON,
@@ -249,13 +268,39 @@ class QLearningController:
         self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
         self.q = [0.0] * (self.n_states * N_ACTIONS)
+        # The unused rest of the current block, last draw first, and the
+        # generator state the block was drawn from.
+        self._uniforms = []
+        self._block_state = None
 
     def act(self, s, frame=0):
-        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
-            return int(self.rng.integers(N_ACTIONS))
+        epsilon = self.epsilon
+        if epsilon > 0.0:
+            uniforms = self._uniforms
+            if uniforms:
+                if uniforms.pop() < epsilon:
+                    return self._explore()
+            elif epsilon >= BLOCK_MAX_EPSILON:
+                if self.rng.random() < epsilon:
+                    return int(self.rng.integers(N_ACTIONS))
+            elif self._draw_block().pop() < epsilon:
+                return self._explore()
         q = self.q
         # Lowest index wins ties, matching the solver's greedy reduction.
         return ACTION_ON if q[self.n_states + s] > q[s] else ACTION_OFF
+
+    def _draw_block(self):
+        rng = self.rng
+        self._block_state = rng.bit_generator.state
+        self._uniforms = rng.random(EXPLORATION_BLOCK)[::-1].tolist()
+        return self._uniforms
+
+    def _explore(self):
+        rng = self.rng
+        rng.bit_generator.state = self._block_state
+        rng.random(EXPLORATION_BLOCK - len(self._uniforms))
+        self._uniforms = []
+        return int(rng.integers(N_ACTIONS))
 
     def observe(self, s, action, reward, s_next, frame):
         q = self.q

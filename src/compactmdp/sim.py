@@ -10,7 +10,10 @@ transaction model, :func:`~compactmdp.node.energy_per_transaction`.
 
 Scenarios can change the true environment parameters mid-run (attach delay,
 app-mode statistics, packet probabilities) through a piecewise-constant
-schedule, which is what makes runtime learning worth measuring.
+schedule, which is what makes runtime learning worth measuring.  The
+environment's randomness does not depend on the controller, so a scenario
+draws its whole app-mode and arrival path once, on its first run, and every
+run on it (all of a sweep's points at one seed) reads that one path.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``.
 Every controller carries the ``config`` it was built for, and :func:`simulate`
@@ -31,6 +34,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +109,9 @@ class Scenario:
 
     Each change, applied in time order on top of the earlier ones, must leave a
     valid node; ``_steps`` keeps that walk as ``[(first frame, config), ...]``.
+    ``_trace`` is the scenario's exogenous sample path, drawn on first use and
+    then shared by every run of the scenario; a pickled scenario leaves it out
+    and draws it again.
     """
 
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -127,6 +134,15 @@ class Scenario:
                 raise ScheduleError(index, message) from exc
             steps.append((floor_frames(change.time, config.frame_period), config))
         object.__setattr__(self, "_steps", tuple(steps))
+
+    @cached_property
+    def _trace(self):
+        return _exogenous_trace(self.seed, self.duration_frames, self._steps)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_trace", None)
+        return state
 
     @property
     def duration_seconds(self):
@@ -161,7 +177,7 @@ class SimMetrics:
 
 
 def _exogenous_trace(seed, frames, steps):
-    """The controller-independent part of a run, drawn up front.
+    """The controller-independent part of a scenario's runs, drawn at once.
 
     Returns ``(app_path, arrivals)``: ``app_path[f]`` is the app mode during
     frame ``f`` (``frames + 1`` entries, starting in mode 0) and
@@ -219,10 +235,11 @@ def simulate(scenario, controller):
     runs with equal (scenario, controller state, seeds) are bitwise identical,
     and different controllers at the same seed face the same arrival/mode
     sample path.  That path (app modes and packet arrivals, under the
-    schedule) is drawn up front, before frame 0; the frame loop then only
-    steps the modem and the queue and calls the controller once to ``act``
-    and once to ``observe``, with flat state indices.  The ``config`` the
-    controller was built for must match the scenario's app modes, queue
+    schedule) is drawn once per scenario, before frame 0 of its first run,
+    and every later run of the same scenario reuses it; the frame loop then
+    only steps the modem and the queue and calls the controller once to
+    ``act`` and once to ``observe``, with flat state indices.  The ``config``
+    the controller was built for must match the scenario's app modes, queue
     levels and frame period, and each frame's reward (passed to ``observe``
     and summed in ``reward_total``) uses that config's ``reward_weights``.
     """
@@ -239,7 +256,7 @@ def simulate(scenario, controller):
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
     steps = scenario._steps
-    app_path, arrivals = _exogenous_trace(scenario.seed, frames, steps)
+    app_path, arrivals = scenario._trace
 
     frame_period = config.frame_period
     nq = config.queue_states

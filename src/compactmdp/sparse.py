@@ -75,19 +75,26 @@ class SparseMatrixCSR:
 
 
 def coo_to_csr(n_rows, n_cols, rows, cols, values):
-    """Build a CSR matrix from coordinate triples.  Duplicate coordinates are not allowed.
+    """Build a CSR matrix from coordinate triples.
 
     Entries may arrive in any order; they are sorted by (row, column) and the
-    row pointer is rebuilt from the per-row counts.
+    row pointer is rebuilt from the per-row counts.  A coordinate given twice
+    raises ``ValueError``: ``dense()`` would keep one of its values and the
+    kernels would sum both.
     """
     order = np.lexsort((cols, rows))
     row_idx = rows[order]
+    col_idx = cols[order]
+    repeated = np.flatnonzero((row_idx[1:] == row_idx[:-1]) & (col_idx[1:] == col_idx[:-1]))
+    if repeated.size:
+        i = repeated[0]
+        raise ValueError(f"duplicate coordinate ({row_idx[i]}, {col_idx[i]})")
     counts = np.bincount(row_idx, minlength=n_rows)
     return SparseMatrixCSR(
         n_rows=n_rows,
         n_cols=n_cols,
         row_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-        col_idx=cols[order],
+        col_idx=col_idx,
         values=values[order],
         row_idx=row_idx,
     )

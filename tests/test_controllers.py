@@ -15,12 +15,19 @@ from compactmdp import (
     NodeState,
     ParameterEstimates,
     QLearningController,
+    Scenario,
     StructuredController,
     ThresholdController,
     build_mdp,
+    simulate,
 )
-from compactmdp.controllers import DEFAULT_EPSILON, DEFAULT_EPSILON_DECAY
+from compactmdp.controllers import (
+    DEFAULT_EPSILON,
+    DEFAULT_EPSILON_DECAY,
+    EXPLORATION_BLOCK,
+)
 from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from compactmdp.node import N_ACTIONS
 from compactmdp.solver import svi_solve
 
 
@@ -327,6 +334,95 @@ class TestQLearningController:
     def test_rejects_bad_hyperparameters(self, kwargs):
         with pytest.raises(ValueError):
             QLearningController(NodeConfig(), **kwargs)
+
+
+class PerFrameQLearning(QLearningController):
+    """The reference stream: one ``rng.random()`` per frame, then
+    ``rng.integers(2)`` when it explores.  ``explored`` lists those frames."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.explored = []
+
+    def act(self, s, frame=0):
+        if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
+            self.explored.append(frame)
+            return int(self.rng.integers(N_ACTIONS))
+        q = self.q
+        return ACTION_ON if q[self.n_states + s] > q[s] else ACTION_OFF
+
+
+def drive(controller, frames, epsilons=None):
+    """Act and observe over a fixed random state path.
+
+    Returns the actions and the generator state right after each ``act``.
+    ``epsilons`` optionally sets ``controller.epsilon`` before each frame.
+    """
+    path = np.random.default_rng(5).integers(66, size=frames + 1).tolist()
+    actions, states = [], []
+    for frame in range(frames):
+        if epsilons is not None:
+            controller.epsilon = epsilons[frame]
+        s = path[frame]
+        action = controller.act(s, frame)
+        actions.append(action)
+        states.append(controller.rng.bit_generator.state)
+        controller.observe(s, action, float(s % 7) - 3.0 * action, path[frame + 1], frame)
+    return actions, states
+
+
+class TestBatchedExploration:
+    """``act`` draws its uniforms in blocks and still uses exactly the
+    per-frame stream: same actions, and the same generator state right after
+    every exploration."""
+
+    def check_against_reference(self, frames, epsilons=None, **kwargs):
+        reference = PerFrameQLearning(NodeConfig(), seed=(3, 1), **kwargs)
+        want, want_states = drive(reference, frames, epsilons)
+        batched = QLearningController(NodeConfig(), seed=(3, 1), **kwargs)
+        got, got_states = drive(batched, frames, epsilons)
+        assert got == want
+        for frame in reference.explored:
+            assert got_states[frame] == want_states[frame], frame
+        assert batched.q == reference.q
+        assert batched.epsilon == reference.epsilon
+        return reference.explored
+
+    def test_decaying_exploration_matches_the_per_frame_stream(self):
+        # Epsilon falls below BLOCK_MAX_EPSILON after ~4 200 frames, so the
+        # run draws per frame first and in blocks after.
+        explored = self.check_against_reference(20000, epsilon=0.5, epsilon_decay=0.9995)
+        assert len(explored) > 500
+        assert len([f for f in explored if f > 5000]) > 50
+
+    def test_exploring_on_the_first_and_last_draw_of_a_block(self, monkeypatch):
+        # Blocks at every epsilon, so that epsilon = 1 forces an exploration.
+        monkeypatch.setattr(controllers, "BLOCK_MAX_EPSILON", 2.0)
+        block = EXPLORATION_BLOCK
+        # Frame 0 is the first draw of the first block; the next block
+        # starts at frame 1 and its last draw is frame `block`.  Frames
+        # block + 1 .. 3 * block cross a block boundary without exploring,
+        # so frame 3 * block is again a block's last draw and frame
+        # 3 * block + 1 the next block's first.
+        forced = {0, block, 3 * block, 3 * block + 1}
+        frames = 4 * block
+        epsilons = [1.0 if frame in forced else 1e-300 for frame in range(frames)]
+        explored = self.check_against_reference(frames, epsilons, epsilon_decay=1.0)
+        assert explored == sorted(forced)
+
+    def test_zero_epsilon_draws_nothing(self):
+        controller = QLearningController(NodeConfig(), epsilon=0.0, seed=7)
+        before = controller.rng.bit_generator.state
+        drive(controller, 1000)
+        assert controller.rng.bit_generator.state == before
+
+    def test_two_simulate_runs_continue_one_stream(self):
+        scenarios = [Scenario(duration_frames=3000, seed=seed) for seed in (1, 2)]
+        reference = PerFrameQLearning(NodeConfig(), epsilon=0.5, seed=(0, 1))
+        batched = QLearningController(NodeConfig(), epsilon=0.5, seed=(0, 1))
+        for scenario in scenarios:
+            assert simulate(scenario, batched) == simulate(scenario, reference)
+        assert batched.q == reference.q
 
 
 class TestLearnableParameterCount:

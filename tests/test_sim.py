@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,33 @@ class TestSweep:
     def test_sweep_default_decay_is_applied(self):
         controller = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
+
+
+class TestSharedTrace:
+    """A scenario draws its exogenous trace once and every run reuses it."""
+
+    def test_sweep_draws_one_trace_per_seed(self, monkeypatch):
+        draws = []
+        exogenous_trace = sim._exogenous_trace
+
+        def counting(*args):
+            draws.append(args[0])
+            return exogenous_trace(*args)
+
+        monkeypatch.setattr(sim, "_exogenous_trace", counting)
+        pareto_sweep(Scenario(duration_frames=300), seeds=(0, 1))
+        assert sorted(draws) == [0, 1]
+
+    def test_a_scenario_that_has_run_keeps_its_value_semantics(self):
+        scenario = Scenario(duration_frames=2000, seed=3)
+        first = simulate(scenario, ThresholdController(NodeConfig(), 2))
+        fresh = replace(scenario)
+        assert scenario == fresh
+        assert hash(scenario) == hash(fresh)
+        assert simulate(scenario, ThresholdController(NodeConfig(), 2)) == first
+        restored = pickle.loads(pickle.dumps(scenario))
+        assert restored == scenario
+        assert simulate(restored, ThresholdController(NodeConfig(), 2)) == first
 
 
 class TestPowerModel:

@@ -45,6 +45,15 @@ class TestConversions:
         assert_array_equal(csr.row_ptr, [0, 2, 4])
         assert_array_equal(csr.dense(), m)
 
+    def test_duplicate_coordinates_rejected(self):
+        """A repeated coordinate would be one value to ``dense()`` and their
+        sum to the kernels, so it is refused."""
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+            coo_to_csr(1, 1, np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.5]))
+        rows, cols = np.array([1, 0, 1, 0]), np.array([0, 1, 0, 0])
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
+            coo_to_csr(2, 2, rows, cols, np.ones(4))
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
