@@ -53,11 +53,6 @@ DEFAULT_EPSILON = 0.05
 #: Exploration uniforms Q-learning draws from its generator at a time.
 EXPLORATION_BLOCK = 128
 
-#: Q-learning draws its uniforms in blocks only while epsilon is below this
-#: rate.  An exploration costs a block two generator-state copies, a replay
-#: and a fresh block, about as much as 16 one-at-a-time draws.
-BLOCK_MAX_EPSILON = 1 / 16
-
 #: Q-learning's per-frame exploration decay: halves epsilon every ~12
 #: simulated minutes at 0.1 s frames, so its late-run behavior reflects what
 #: it learned rather than residual dithering.  1.0 keeps epsilon constant.
@@ -243,11 +238,11 @@ class QLearningController:
 
     Each frame with ``epsilon > 0`` uses one uniform from ``rng`` and explores
     when it is below ``epsilon``; an exploring frame then draws its action with
-    ``rng.integers``.  Below :data:`BLOCK_MAX_EPSILON` the uniforms are drawn
-    :data:`EXPLORATION_BLOCK` at a time, so between explorations ``rng`` runs
-    ahead of the draws ``act`` has used.  An exploring frame rewinds ``rng``
-    to the start of its block, replays the uniforms used, and draws its
-    action from there; the next frame starts a new block.  So the actions,
+    ``rng.integers``.  The uniforms are drawn :data:`EXPLORATION_BLOCK` at a
+    time, so between explorations ``rng`` runs ahead of the draws ``act`` has
+    used.  An exploring frame rewinds ``rng`` to the start of its block,
+    replays the uniforms used, and draws its action from there; the next
+    frame starts a new block.  So the actions,
     and ``rng``'s state right after an exploration, are bit for bit those of
     one ``rng.random()`` call per frame.  With ``epsilon == 0`` ``act`` draws
     nothing.
@@ -276,14 +271,8 @@ class QLearningController:
     def act(self, s, frame=0):
         epsilon = self.epsilon
         if epsilon > 0.0:
-            uniforms = self._uniforms
-            if uniforms:
-                if uniforms.pop() < epsilon:
-                    return self._explore()
-            elif epsilon >= BLOCK_MAX_EPSILON:
-                if self.rng.random() < epsilon:
-                    return int(self.rng.integers(N_ACTIONS))
-            elif self._draw_block().pop() < epsilon:
+            uniforms = self._uniforms or self._draw_block()
+            if uniforms.pop() < epsilon:
                 return self._explore()
         q = self.q
         # Lowest index wins ties, matching the solver's greedy reduction.

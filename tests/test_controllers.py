@@ -389,15 +389,11 @@ class TestBatchedExploration:
         return reference.explored
 
     def test_decaying_exploration_matches_the_per_frame_stream(self):
-        # Epsilon falls below BLOCK_MAX_EPSILON after ~4 200 frames, so the
-        # run draws per frame first and in blocks after.
         explored = self.check_against_reference(20000, epsilon=0.5, epsilon_decay=0.9995)
         assert len(explored) > 500
         assert len([f for f in explored if f > 5000]) > 50
 
-    def test_exploring_on_the_first_and_last_draw_of_a_block(self, monkeypatch):
-        # Blocks at every epsilon, so that epsilon = 1 forces an exploration.
-        monkeypatch.setattr(controllers, "BLOCK_MAX_EPSILON", 2.0)
+    def test_exploring_on_the_first_and_last_draw_of_a_block(self):
         block = EXPLORATION_BLOCK
         # Frame 0 is the first draw of the first block; the next block
         # starts at frame 1 and its last draw is frame `block`.  Frames
@@ -417,12 +413,26 @@ class TestBatchedExploration:
         assert controller.rng.bit_generator.state == before
 
     def test_two_simulate_runs_continue_one_stream(self):
+        # 3 000 frames is not a whole number of blocks, and at epsilon 0.05
+        # the first run ends partway through one: the second run must go on
+        # drawing from it.
+        assert 3000 % EXPLORATION_BLOCK
         scenarios = [Scenario(duration_frames=3000, seed=seed) for seed in (1, 2)]
-        reference = PerFrameQLearning(NodeConfig(), epsilon=0.5, seed=(0, 1))
-        batched = QLearningController(NodeConfig(), epsilon=0.5, seed=(0, 1))
+        kwargs = dict(epsilon=0.05, epsilon_decay=1.0, seed=(0, 1))
+        reference = PerFrameQLearning(NodeConfig(), **kwargs)
+        batched = QLearningController(NodeConfig(), **kwargs)
+        explored = []
         for scenario in scenarios:
             assert simulate(scenario, batched) == simulate(scenario, reference)
+            assert batched._uniforms
+            explored.append(len(reference.explored))
         assert batched.q == reference.q
+        # Both runs explore, and a forced exploration leaves the generator
+        # where the per-frame stream has it.
+        assert 0 < explored[0] < explored[1]
+        batched.epsilon = reference.epsilon = 1.0
+        assert batched.act(0) == reference.act(0)
+        assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 class TestLearnableParameterCount:
