@@ -4,8 +4,8 @@ The package splits into a small generic layer and a case study built on it:
 
 * :mod:`compactmdp.core` — stacked-matrix MDP container (holding the matrix
   in CSR form), validation, and a dense value-iteration reference solver.
-* :mod:`compactmdp.sparse` — the CSR container, the four solver kernels, and
-  embedded-target storage accounting.
+* :mod:`compactmdp.sparse` — the CSR container, the four solver kernels, the
+  greedy policy, and embedded-target storage accounting.
 * :mod:`compactmdp.solver` — sparse value iteration with cost counters.
 * :mod:`compactmdp.node` — the factored sensor-node model (traffic, radio,
   queue, energy, reward).
@@ -69,6 +69,7 @@ from .sparse import (
     SparseMatrixCSR,
     StorageReport,
     coo_to_csr,
+    greedy_policy,
     inf_norm_diff,
     max_reduce,
     saxpy,
@@ -111,6 +112,7 @@ __all__ = [
     "crossover_period",
     "dense_value_iteration",
     "energy_per_transaction",
+    "greedy_policy",
     "inf_norm_diff",
     "load_scenario",
     "make_controller",

@@ -47,6 +47,12 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+def check_max_iterations(max_iterations):
+    """Raise ``ValueError`` unless a solver's iteration cap is at least 1."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+
+
 @dataclass(frozen=True)
 class MdpSpec:
     """A finite MDP in stacked action-major form.
@@ -175,10 +181,11 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Raises
     ------
     ValueError
-        If the spec fails :func:`validate`.
+        If ``max_iterations`` is below 1, or the spec fails :func:`validate`.
     ConvergenceError
         If the iteration cap is reached first.
     """
+    check_max_iterations(max_iterations)
     report = validate(spec)
     if not report.ok:
         raise ValueError("invalid MDP: " + "; ".join(report.messages))

@@ -6,9 +6,12 @@ applies the four kernels from :mod:`compactmdp.sparse` to it until the value
 function stops moving:
 
     T = sparse_mult(M, V)          # expected next-state values, per row
-    Q = saxpy(discount, T, R)      # one-step backup
-    V', policy = max_reduce(Q)     # greedy reduction over actions
+    Q = saxpy(discount, T, R)      # one-step backup, in place into T
+    V' = max_reduce(Q)             # max over actions
     delta = inf_norm_diff(V', V)   # stop when delta < tolerance
+
+and once it stops, ``policy = greedy_policy(Q)`` takes the argmax of the final
+backup, as :func:`~compactmdp.core.dense_value_iteration` does.
 
 Per-iteration cost is proportional to the number of stored entries, and the
 solver keeps a multiply-accumulate tally so runs can be compared against the
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError, validate
-from .sparse import inf_norm_diff, max_reduce, saxpy, sparse_mult
+from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError, check_max_iterations, validate
+from .sparse import greedy_policy, inf_norm_diff, max_reduce, saxpy, sparse_mult
 from .sparse import coo_to_csr, to_sparse  # noqa: F401  traced by perfbench until ROADMAP item 1
 
 
@@ -70,8 +73,12 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Raises
     ------
     ValueError
-        If the spec fails :func:`~compactmdp.core.validate`.
+        If ``max_iterations`` is below 1, or the spec fails
+        :func:`~compactmdp.core.validate`.
+    ConvergenceError
+        If the iteration cap is reached first.
     """
+    check_max_iterations(max_iterations)
     report = validate(spec)
     if not report.ok:
         raise ValueError("invalid MDP: " + "; ".join(report.messages))
@@ -83,13 +90,13 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     for iteration in range(1, max_iterations + 1):
         t = sparse_mult(csr, v)
         q = saxpy(beta, t, rewards)
-        v_new, policy = max_reduce(q, spec.n_states, spec.n_actions)
+        v_new = max_reduce(q, spec.n_states, spec.n_actions)
         delta = inf_norm_diff(v_new, v)
         v = v_new
         if delta < spec.tolerance:
             return SolveResult(
                 values=v,
-                policy=policy,
+                policy=greedy_policy(q, spec.n_states, spec.n_actions),
                 iterations=iteration,
                 final_delta=delta,
                 kernel_op_count=iteration * csr.nnz,

@@ -5,9 +5,12 @@
 kernels that operate on a CSR matrix and flat vectors:
 
 * :func:`sparse_mult` — CSR matrix times dense vector,
-* :func:`saxpy` — scaled vector add,
-* :func:`max_reduce` — per-state max/argmax over the stacked action blocks,
+* :func:`saxpy` — scaled vector add, in place,
+* :func:`max_reduce` — per-state max over the stacked action blocks,
 * :func:`inf_norm_diff` — sup-norm distance between successive iterates.
+
+:func:`greedy_policy` — the per-state argmax, ties to the lowest action — is
+not one of them: the solver takes it once, from the final backup.
 
 They are deliberately written against plain index arrays (no library sparse
 types) so the arithmetic path is independent of the dense reference solver.
@@ -114,28 +117,43 @@ def sparse_mult(m, v):
 
     Rows with no stored entries contribute exact zeros.
     """
-    return np.bincount(m.row_idx, weights=m.values * v[m.col_idx], minlength=m.n_rows)
+    products = v[m.col_idx]
+    products *= m.values
+    return np.bincount(m.row_idx, weights=products, minlength=m.n_rows)
 
 
 def saxpy(scale, t, r):
-    """Elementwise ``r + scale * t`` for equal-length vectors."""
-    return r + scale * t
+    """Elementwise ``r + scale * t`` for equal-length vectors, written into ``t``.
+
+    Returns ``t``.  ``t`` must not share memory with ``r``, which is read
+    after ``t`` is scaled; the solver passes the fresh product of
+    :func:`sparse_mult`.
+    """
+    t *= scale
+    t += r
+    return t
 
 
 def max_reduce(q, n_states, n_actions):
-    """Reduce a stacked Q-vector to per-state values and a greedy policy.
+    """Per-state values of a stacked Q-vector: the max over its action blocks.
 
-    ``q`` is laid out action-major (length ``n_states * n_actions``).  Returns
-    ``(values, policy)`` where ties in the argmax resolve to the lowest action
-    index.
+    ``q`` is laid out action-major (length ``n_states * n_actions``).
     """
-    blocks = q.reshape(n_actions, n_states)
-    return blocks.max(axis=0), blocks.argmax(axis=0)
+    return q.reshape(n_actions, n_states).max(axis=0)
+
+
+def greedy_policy(q, n_states, n_actions):
+    """Per-state greedy action of a stacked Q-vector laid out as in :func:`max_reduce`.
+
+    Ties resolve to the lowest action index.
+    """
+    return q.reshape(n_actions, n_states).argmax(axis=0)
 
 
 def inf_norm_diff(a, b):
     """Sup-norm distance ``max_i |a_i - b_i|`` between equal-length vectors."""
-    return float(np.max(np.abs(a - b)))
+    diff = a - b
+    return float(np.abs(diff, out=diff).max())
 
 
 def index_bytes(count):

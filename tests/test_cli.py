@@ -296,6 +296,12 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_iteration_cap_below_one_is_a_clean_failure(self, capsys, cap):
+        code, out, err = run_cli(capsys, "solve", "--max-iterations", cap)
+        assert (code, out) == (1, "")
+        assert err == f"error: max_iterations must be >= 1, got {cap}\n"
+
     def test_non_finite_duration_is_a_clean_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--duration", "inf")
         assert code == 1

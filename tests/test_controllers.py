@@ -271,12 +271,12 @@ class TestQLearningController:
             assert controller.act(flat) == ACTION_OFF
 
     def test_greedy_matches_the_solver_reduction(self):
-        from compactmdp.sparse import max_reduce
+        from compactmdp.sparse import greedy_policy
 
         rng = np.random.default_rng(3)
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         controller.q = rng.normal(size=132).tolist()
-        _, policy = max_reduce(np.array(controller.q), 66, 2)
+        policy = greedy_policy(np.array(controller.q), 66, 2)
         for flat in range(66):
             assert controller.act(flat) == policy[flat]
 

@@ -83,6 +83,12 @@ class TestDenseValueIteration:
         assert excinfo.value.iterations == 3
         assert excinfo.value.values.shape == (2,)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_iteration_cap_below_one_is_rejected_before_validation(self, cap):
+        invalid = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
+            dense_value_iteration(invalid, max_iterations=cap)
+
     def test_rejects_invalid_rows(self):
         spec = MdpSpec(
             n_states=2,

@@ -13,13 +13,91 @@ from compactmdp import (
     build_mdp,
     dense_value_iteration,
     load_scenario,
+    rho_from_connect_time,
     solve_cost,
     svi_solve,
     to_sparse,
 )
+from compactmdp import solver
 from compactmdp.core import ConvergenceError
 
 from support import random_mdp
+
+
+def argmax_every_iteration(spec):
+    """Reference loop that takes the greedy argmax on every iteration.
+
+    The arithmetic is written out in plain numpy with fresh arrays only: the
+    gather-multiply product, ``r + beta * t``, max and argmax of every
+    backup, and ``max(abs(v_new - v))``.  Returns ``(values, policy,
+    iterations, final_delta, kernel_op_count)``.
+    """
+    csr = spec.transitions
+    v = np.zeros(spec.n_states)
+    for iteration in range(1, 10**6 + 1):
+        t = np.bincount(csr.row_idx, weights=csr.values * v[csr.col_idx], minlength=csr.n_rows)
+        blocks = (spec.rewards + spec.discount * t).reshape(spec.n_actions, spec.n_states)
+        v_new, policy = blocks.max(axis=0), blocks.argmax(axis=0)
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if delta < spec.tolerance:
+            return v, policy, iteration, delta, iteration * csr.nnz
+    raise AssertionError("reference loop did not converge")
+
+
+def pinned_specs():
+    """Random MDPs, the 66-state case study and a 1 200-state draw off the prior."""
+    rng = np.random.default_rng(101)
+    specs = [random_mdp(rng, max_states=30) for _ in range(30)]
+    node = load_scenario("default").node
+    specs.append(build_mdp(node))
+    large = replace(node, queue_states=200)
+    sigma = np.array([[0.97, 0.03], [0.3, 0.7]])
+    rho = rho_from_connect_time(2.6, large.frame_period)
+    specs.append(build_mdp(large, sigma=sigma, rho=rho))
+    return specs
+
+
+@pytest.mark.parametrize("spec", pinned_specs(), ids=lambda spec: f"{spec.n_states}x{spec.n_actions}")
+def test_bitwise_equal_to_the_argmax_every_iteration_loop(spec):
+    rewards = spec.rewards.copy()
+    result = svi_solve(spec)
+    values, policy, iterations, final_delta, ops = argmax_every_iteration(spec)
+    assert np.array_equal(result.values, values)
+    assert np.array_equal(result.policy, policy)
+    assert result.policy.dtype == policy.dtype
+    assert (result.iterations, result.final_delta, result.kernel_op_count) == (
+        iterations, final_delta, ops
+    )
+    assert np.array_equal(spec.rewards, rewards)
+
+
+def test_kernels_are_called_through_the_module_once_per_iteration(monkeypatch):
+    """The loop looks each kernel up on ``solver``, so a rebinding sees every call."""
+    calls = dict.fromkeys(
+        ("sparse_mult", "saxpy", "max_reduce", "inf_norm_diff", "greedy_policy"), 0
+    )
+
+    def counting(name):
+        kernel = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    result = solver.svi_solve(build_mdp(load_scenario("default").node))
+    assert result.iterations > 1
+    assert calls == {
+        "sparse_mult": result.iterations,
+        "saxpy": result.iterations,
+        "max_reduce": result.iterations,
+        "inf_norm_diff": result.iterations,
+        "greedy_policy": 1,
+    }
 
 
 def test_single_state_geometric_series():
@@ -93,6 +171,13 @@ def test_iteration_cap_raises_with_last_iterate():
         svi_solve(spec, max_iterations=5)
     assert excinfo.value.iterations == 5
     assert excinfo.value.values.shape == (1,)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_iteration_cap_below_one_is_rejected_before_validation(cap):
+    invalid = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
+        svi_solve(invalid, max_iterations=cap)
 
 
 class TestSolveCost:

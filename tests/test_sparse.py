@@ -1,4 +1,4 @@
-"""The CSR container, the four solver kernels, and storage accounting."""
+"""The CSR container, the four solver kernels, the greedy policy, and storage accounting."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from compactmdp import (
     SparseMatrixCSR,
     coo_to_csr,
+    greedy_policy,
     inf_norm_diff,
     max_reduce,
     saxpy,
@@ -112,36 +113,66 @@ class TestKernels:
             want = m @ v
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    def test_sparse_mult_leaves_its_inputs_and_matches_the_fresh_product_bitwise(self):
+        rng = np.random.default_rng(31)
+        m = rng.standard_normal((40, 30))
+        m *= rng.random((40, 30)) < 0.2
+        csr = to_sparse(m)
+        values = csr.values.copy()
+        v = rng.standard_normal(30)
+        v_before = v.copy()
+        got = sparse_mult(csr, v)
+        want = np.bincount(csr.row_idx, weights=csr.values * v[csr.col_idx], minlength=40)
+        assert_array_equal(got, want)
+        assert_array_equal(v, v_before)
+        assert_array_equal(csr.values, values)
+
     def test_saxpy(self):
         assert_array_equal(saxpy(0.9, np.array([10.0, 0.0]), np.array([1.0, 2.0])), [10.0, 2.0])
         assert_array_equal(saxpy(0.0, np.array([5.0]), np.array([3.0])), [3.0])
 
+    def test_saxpy_writes_into_the_scaled_vector_only(self):
+        t, r = np.array([10.0, 0.0]), np.array([1.0, 2.0])
+        assert saxpy(0.9, t, r) is t
+        assert_array_equal(t, [10.0, 2.0])
+        assert_array_equal(r, [1.0, 2.0])
+
+    def test_saxpy_matches_the_fresh_sum_bitwise(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            n = int(rng.integers(1, 200))
+            t, r, scale = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.0, 1.0)
+            want = r + scale * t
+            assert_array_equal(saxpy(scale, t, r), want)
+
     def test_max_reduce_action_major(self):
         # Two states, two actions: action-0 block [1, 3], action-1 block [2, 0].
-        values, policy = max_reduce(np.array([1.0, 3.0, 2.0, 0.0]), 2, 2)
-        assert_array_equal(values, [2.0, 3.0])
-        assert_array_equal(policy, [1, 0])
+        q = np.array([1.0, 3.0, 2.0, 0.0])
+        assert_array_equal(max_reduce(q, 2, 2), [2.0, 3.0])
+        assert_array_equal(greedy_policy(q, 2, 2), [1, 0])
 
-    def test_max_reduce_ties_pick_lowest_action(self):
-        values, policy = max_reduce(np.array([5.0, 4.0, 5.0, 9.0]), 2, 2)
-        assert_array_equal(values, [5.0, 9.0])
-        assert_array_equal(policy, [0, 1])
+    def test_greedy_policy_ties_pick_lowest_action(self):
+        q = np.array([5.0, 4.0, 5.0, 9.0])
+        assert_array_equal(max_reduce(q, 2, 2), [5.0, 9.0])
+        assert_array_equal(greedy_policy(q, 2, 2), [0, 1])
 
-    def test_max_reduce_brute_force(self):
+    def test_max_reduce_and_greedy_policy_brute_force(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             n_states = int(rng.integers(1, 12))
             n_actions = int(rng.integers(1, 5))
             q = rng.standard_normal(n_states * n_actions)
-            values, policy = max_reduce(q, n_states, n_actions)
+            values = max_reduce(q, n_states, n_actions)
+            policy = greedy_policy(q, n_states, n_actions)
             for s in range(n_states):
                 per_action = [q[a * n_states + s] for a in range(n_actions)]
                 assert values[s] == max(per_action)
                 assert policy[s] == per_action.index(max(per_action))
 
-    def test_max_reduce_rejects_wrong_length(self):
+    @pytest.mark.parametrize("reduce", [max_reduce, greedy_policy])
+    def test_reductions_reject_wrong_length(self, reduce):
         with pytest.raises(ValueError):
-            max_reduce(np.array([1.0, 2.0, 3.0]), 2, 2)
+            reduce(np.array([1.0, 2.0, 3.0]), 2, 2)
 
     def test_inf_norm_diff(self):
         assert inf_norm_diff(np.array([1.0, 5.0]), np.array([2.0, 4.5])) == 1.0
