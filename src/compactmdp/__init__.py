@@ -3,7 +3,8 @@
 The package splits into a small generic layer and a case study built on it:
 
 * :mod:`compactmdp.core` — stacked-matrix MDP container (holding the matrix
-  in CSR form), validation, and a dense value-iteration reference solver.
+  in CSR form), valid by construction, and a dense value-iteration reference
+  solver.
 * :mod:`compactmdp.sparse` — the CSR container, the four solver kernels, the
   greedy policy, and embedded-target storage accounting.
 * :mod:`compactmdp.solver` — sparse value iteration with cost counters.
@@ -30,7 +31,6 @@ from .core import (
     ConvergenceError,
     MdpSpec,
     dense_value_iteration,
-    validate,
 )
 from .node import (
     ACTION_OFF,
@@ -129,5 +129,4 @@ __all__ = [
     "storage_report",
     "svi_solve",
     "to_sparse",
-    "validate",
 ]

@@ -197,11 +197,10 @@ def _cmd_storage(args):
 
 def _cmd_power(args):
     node = load_scenario(args.config).node
+    powers = [(name, average_power(model, args.update_period, node.frame_period))
+              for name, model in REFERENCE_POWER_MODELS.items()]
     print(f"update_period_s={args.update_period} frame_period_s={node.frame_period}")
-    for name, model in REFERENCE_POWER_MODELS.items():
-        power = average_power(
-            model, update_period=args.update_period, frame_period=node.frame_period
-        )
+    for name, power in powers:
         print(f"{name}: average_power_uw={power * 1e6:.6g}")
     pairs = [("dense-vi", "svi"), ("dense-vi", "ql"), ("svi", "ql")]
     for a, b in pairs:

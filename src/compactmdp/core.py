@@ -1,4 +1,4 @@
-"""Tabular MDP container, validation, and dense value iteration.
+"""Tabular MDP container, valid by construction, and dense value iteration.
 
 Conventions used throughout the package:
 
@@ -13,6 +13,9 @@ Conventions used throughout the package:
 * Deterministic policies are arrays mapping each state to the lowest-index
   maximizing action (ties break toward the smaller action index).
 
+An :class:`MdpSpec` is valid by construction, and its rewards and the arrays
+its CSR was given are read-only, so neither solver checks it again.
+
 ``dense_value_iteration`` here is the reference solver: it expands the stacked
 matrix with ``.dense()`` and uses ordinary matrix products, and is the
 independent oracle for the sparse solver.
@@ -20,7 +23,7 @@ independent oracle for the sparse solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +65,11 @@ class MdpSpec:
     n_states, n_actions : int
         Dimensions of the state and action sets.
     rewards : ndarray, shape (n_states * n_actions,)
-        Immediate reward for each (state, action) row.
+        Immediate reward for each (state, action) row; the spec keeps a
+        read-only copy.
     transitions : SparseMatrixCSR, shape (n_states * n_actions, n_states)
-        Stacked transition matrix; each row should be a probability
-        distribution over successor states (checked by :func:`validate`,
-        enforced by the solvers).
+        Stacked transition matrix; each row must be a probability
+        distribution over successor states (see :func:`validate`).
     discount : float
         Discount factor in [0, 1).
     tolerance : float
@@ -87,7 +90,7 @@ class MdpSpec:
             raise ValueError(f"discount must be in [0, 1), got {self.discount}")
         if not self.tolerance > 0.0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        rewards = np.asarray(self.rewards, dtype=float)
+        rewards = np.array(self.rewards, dtype=float)
         n_rows = self.n_states * self.n_actions
         if rewards.shape != (n_rows,):
             raise ValueError(
@@ -100,15 +103,9 @@ class MdpSpec:
             raise ValueError(
                 f"transitions must have shape ({n_rows}, {self.n_states}), got {shape}"
             )
+        rewards.flags.writeable = False
         object.__setattr__(self, "rewards", rewards)
-
-
-@dataclass
-class ViolationReport:
-    """Outcome of :func:`validate`: ``ok`` plus one message per problem."""
-
-    ok: bool
-    messages: list = field(default_factory=list)
+        validate(self)
 
 
 def stochastic_problems(matrix, name):
@@ -136,21 +133,18 @@ def stochastic_problems(matrix, name):
 
 
 def validate(spec):
-    """Check an :class:`MdpSpec` for structural problems.
+    """Raise ``ValueError("invalid MDP: ...")`` naming every fault of an :class:`MdpSpec`.
 
-    Reports non-finite rewards and the :func:`stochastic_problems` of the
-    transition matrix.  The report is purely diagnostic.
-
-    Returns
-    -------
-    ViolationReport
+    The faults are non-finite rewards and the :func:`stochastic_problems` of
+    the transition matrix.  :class:`MdpSpec` calls this when it is built.
     """
     messages = []
     bad = np.flatnonzero(~np.isfinite(spec.rewards))
     if bad.size:
         messages.append(f"rewards are not finite at rows {bad.tolist()}")
     messages += stochastic_problems(spec.transitions, "transitions")
-    return ViolationReport(ok=not messages, messages=messages)
+    if messages:
+        raise ValueError("invalid MDP: " + "; ".join(messages))
 
 
 def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
@@ -181,14 +175,11 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Raises
     ------
     ValueError
-        If ``max_iterations`` is below 1, or the spec fails :func:`validate`.
+        If ``max_iterations`` is below 1.
     ConvergenceError
         If the iteration cap is reached first.
     """
     check_max_iterations(max_iterations)
-    report = validate(spec)
-    if not report.ok:
-        raise ValueError("invalid MDP: " + "; ".join(report.messages))
 
     m = spec.transitions.dense()
     r = spec.rewards

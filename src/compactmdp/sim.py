@@ -506,14 +506,16 @@ REFERENCE_POWER_MODELS = {
 def average_power(model, update_period=DEFAULT_SOLVE_PERIOD,
                   frame_period=NodeConfig.frame_period):
     """Average controller power: solver amortized over its period, frame cost
-    amortized over the frame, plus the sleep floor."""
-    if frame_period <= 0:
-        raise ValueError(f"frame_period must be > 0, got {frame_period}")
+    amortized over the frame, plus the sleep floor.  Both periods must be
+    finite and > 0; a frame-only model ignores ``update_period``."""
+    if not 0.0 < frame_period < math.inf:
+        raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
     solver_power = 0.0
     if model.solver_cost > 0:
-        if update_period is None or update_period <= 0:
+        if update_period is None or not 0.0 < update_period < math.inf:
             raise ValueError(
-                "update_period must be > 0 for a model with solver cost"
+                "update_period must be finite and > 0 for a model with solver cost, "
+                f"got {update_period}"
             )
         solver_power = model.solver_cost / update_period
     return solver_power + model.frame_cost / frame_period + model.sleep_power

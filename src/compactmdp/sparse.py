@@ -14,8 +14,9 @@ not one of them: the solver takes it once, from the final backup.
 
 They are deliberately written against plain index arrays (no library sparse
 types) so the arithmetic path is independent of the dense reference solver.
-They check nothing per call: the shapes are fixed once, when the CSR and the
-:class:`~compactmdp.core.MdpSpec` holding it are built.
+They check nothing per call: the CSR and the :class:`~compactmdp.core.MdpSpec`
+holding it are valid by construction, so the shapes and the sorted,
+duplicate-free entries are fixed once, when they are built.
 
 Storage accounting mirrors a 32-bit embedded target: matrix entries and value
 cells are charged 4 bytes each, and sparse index columns are charged the
@@ -25,7 +26,7 @@ smallest whole number of bytes that can address the corresponding dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +36,17 @@ VALUE_BYTES = 4
 
 @dataclass(frozen=True)
 class SparseMatrixCSR:
-    """Compressed-sparse-row matrix.
+    """Compressed-sparse-row matrix, valid by construction.
 
     ``row_ptr`` has ``n_rows + 1`` entries; row ``i`` owns the slice
     ``col_idx[row_ptr[i]:row_ptr[i+1]]`` / ``values[row_ptr[i]:row_ptr[i+1]]``.
-    ``row_idx`` is the same row ownership spelled out per entry (``i``
-    repeated ``row_ptr[i+1] - row_ptr[i]`` times), kept so the kernels need
-    not expand ``row_ptr`` on every product.  Construction checks the array
-    lengths and that every index addresses the matrix.
+    ``row_idx``, the row of each entry, is derived from ``row_ptr`` so the
+    kernels need not expand it on every product.  Construction refuses a
+    ``row_ptr`` that does not rise from 0 to ``nnz``, a column outside the
+    matrix, and a row whose columns repeat (``dense()`` would keep one value,
+    the kernels their sum) or fall, and marks the arrays it is given
+    read-only.  ``row_idx`` stays writable: ``np.bincount`` would copy a
+    read-only index on every product.
     """
 
     n_rows: int
@@ -50,16 +54,27 @@ class SparseMatrixCSR:
     row_ptr: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    row_idx: np.ndarray
+    row_idx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nnz = len(self.values)
-        if self.row_ptr.shape != (self.n_rows + 1,) or self.row_ptr[-1] != nnz:
-            raise ValueError(f"row_ptr must have {self.n_rows + 1} entries ending at {nnz}")
-        for name, bound in (("col_idx", self.n_cols), ("row_idx", self.n_rows)):
-            index = getattr(self, name)
-            if index.shape != (nnz,) or nnz and not 0 <= index.min() <= index.max() < bound:
-                raise ValueError(f"{name} must hold {nnz} indices in [0, {bound})")
+        row_ptr, col_idx = self.row_ptr, self.col_idx
+        if (row_ptr.shape != (self.n_rows + 1,) or row_ptr[0] != 0 or row_ptr[-1] != nnz
+                or ((counts := np.diff(row_ptr)) < 0).any()):
+            raise ValueError(f"row_ptr must rise from 0 to {nnz} in {self.n_rows + 1} entries")
+        if (col_idx.shape != (nnz,)
+                or nnz and not 0 <= col_idx.min() <= col_idx.max() < self.n_cols):
+            raise ValueError(f"col_idx must hold {nnz} indices in [0, {self.n_cols})")
+        row_idx = np.repeat(np.arange(self.n_rows), counts)
+        unsorted = np.flatnonzero((row_idx[1:] == row_idx[:-1]) & (col_idx[1:] <= col_idx[:-1]))
+        if unsorted.size:
+            i = unsorted[0] + 1
+            if col_idx[i] == col_idx[i - 1]:
+                raise ValueError(f"duplicate coordinate ({row_idx[i]}, {col_idx[i]})")
+            raise ValueError(f"row {row_idx[i]} has its columns out of order")
+        for array in (row_ptr, col_idx, self.values):
+            array.flags.writeable = False
+        object.__setattr__(self, "row_idx", row_idx)
 
     @property
     def nnz(self):
@@ -81,25 +96,17 @@ def coo_to_csr(n_rows, n_cols, rows, cols, values):
     """Build a CSR matrix from coordinate triples.
 
     Entries may arrive in any order; they are sorted by (row, column) and the
-    row pointer is rebuilt from the per-row counts.  A coordinate given twice
-    raises ``ValueError``: ``dense()`` would keep one of its values and the
-    kernels would sum both.
+    row pointer is built from the per-row counts.  The CSR refuses a
+    coordinate given twice.
     """
     order = np.lexsort((cols, rows))
-    row_idx = rows[order]
-    col_idx = cols[order]
-    repeated = np.flatnonzero((row_idx[1:] == row_idx[:-1]) & (col_idx[1:] == col_idx[:-1]))
-    if repeated.size:
-        i = repeated[0]
-        raise ValueError(f"duplicate coordinate ({row_idx[i]}, {col_idx[i]})")
-    counts = np.bincount(row_idx, minlength=n_rows)
+    counts = np.bincount(rows, minlength=n_rows)
     return SparseMatrixCSR(
         n_rows=n_rows,
         n_cols=n_cols,
         row_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-        col_idx=col_idx,
+        col_idx=cols[order],
         values=values[order],
-        row_idx=row_idx,
     )
 
 

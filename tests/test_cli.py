@@ -302,6 +302,12 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == f"error: max_iterations must be >= 1, got {cap}\n"
 
+    @pytest.mark.parametrize("period", ["nan", "inf", "0"])
+    def test_bad_update_period_prints_no_power(self, capsys, period):
+        code, out, err = run_cli(capsys, "power", "--update-period", period)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: update_period must be finite and > 0")
+
     def test_non_finite_duration_is_a_clean_failure(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--duration", "inf")
         assert code == 1

@@ -1,11 +1,11 @@
-"""Core MDP container, validation, and the dense reference solver."""
+"""Core MDP container, its construction checks, and the dense reference solver."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactmdp import MdpSpec, dense_value_iteration, to_sparse, validate
-from compactmdp.core import ConvergenceError
+from compactmdp import MdpSpec, dense_value_iteration, to_sparse
+from compactmdp.core import ConvergenceError, validate
 
 from support import random_mdp
 
@@ -84,56 +84,55 @@ class TestDenseValueIteration:
         assert excinfo.value.values.shape == (2,)
 
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_iteration_cap_below_one_is_rejected_before_validation(self, cap):
-        invalid = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
+    def test_iteration_cap_below_one_is_rejected(self, cap):
         with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
-            dense_value_iteration(invalid, max_iterations=cap)
+            dense_value_iteration(_chain_mdp(), max_iterations=cap)
 
     def test_rejects_invalid_rows(self):
-        spec = MdpSpec(
-            n_states=2,
-            n_actions=1,
-            rewards=np.zeros(2),
-            transitions=to_sparse([[0.7, 0.2], [0.5, 0.5]]),
-        )
         with pytest.raises(ValueError, match="row 0"):
-            dense_value_iteration(spec)
+            MdpSpec(
+                n_states=2,
+                n_actions=1,
+                rewards=np.zeros(2),
+                transitions=to_sparse([[0.7, 0.2], [0.5, 0.5]]),
+            )
 
 
 class TestValidate:
+    """``MdpSpec`` runs :func:`validate` when it is built, so a bad model is
+    refused there, with every fault named in one ``ValueError``."""
+
     def test_clean_spec_passes(self):
-        report = validate(_chain_mdp())
-        assert report.ok
-        assert report.messages == []
+        spec = _chain_mdp()
+        assert validate(spec) is None
 
     def test_reports_every_bad_row_sum(self):
         transitions = np.array([[0.5, 0.4], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
-        spec = MdpSpec(2, 2, np.zeros(4), to_sparse(transitions))
-        report = validate(spec)
-        assert not report.ok
-        text = " ".join(report.messages)
+        with pytest.raises(ValueError, match="^invalid MDP: ") as excinfo:
+            MdpSpec(2, 2, np.zeros(4), to_sparse(transitions))
+        text = str(excinfo.value)
         assert "row 0" in text and "row 2" in text
 
     def test_reports_negative_entries(self):
         transitions = np.array([[1.2, -0.2], [0.0, 1.0]])
-        spec = MdpSpec(2, 1, np.zeros(2), to_sparse(transitions))
-        report = validate(spec)
-        assert not report.ok
-        assert any("negative" in m for m in report.messages)
+        with pytest.raises(ValueError, match="negative"):
+            MdpSpec(2, 1, np.zeros(2), to_sparse(transitions))
 
     def test_reports_nan_anywhere(self):
-        spec = MdpSpec(2, 1, np.array([0.0, np.nan]), to_sparse(np.eye(2)))
-        assert not validate(spec).ok
+        with pytest.raises(ValueError, match="^invalid MDP: rewards are not finite at rows"):
+            MdpSpec(2, 1, np.array([0.0, np.nan]), to_sparse(np.eye(2)))
         bad = np.array([[np.nan, 0.5], [0.0, 1.0]])
-        assert not validate(MdpSpec(2, 1, np.zeros(2), to_sparse(bad))).ok
+        with pytest.raises(ValueError, match="^invalid MDP: transitions has non-finite"):
+            MdpSpec(2, 1, np.zeros(2), to_sparse(bad))
 
     def test_reports_infinite_entries(self):
         bad = np.array([[1.0, 0.0], [np.inf, -np.inf]])
-        report = validate(MdpSpec(2, 1, np.array([np.inf, 0.0]), to_sparse(bad)))
-        assert report.messages == [
-            "rewards are not finite at rows [0]",
-            "transitions has non-finite entries in rows [1]",
-        ]
+        with pytest.raises(ValueError) as excinfo:
+            MdpSpec(2, 1, np.array([np.inf, 0.0]), to_sparse(bad))
+        assert str(excinfo.value) == (
+            "invalid MDP: rewards are not finite at rows [0]; "
+            "transitions has non-finite entries in rows [1]"
+        )
 
 
 class TestMdpSpecConstruction:
@@ -156,3 +155,16 @@ class TestMdpSpecConstruction:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), tolerance=0.0)
+
+    def test_a_built_spec_cannot_be_changed(self):
+        """The spec was checked when it was built, so its arrays refuse writes,
+        and it keeps its own copy of the rewards it was given."""
+        rewards = np.array([0.0, 1.0, 0.0, 1.0])
+        spec = MdpSpec(2, 2, rewards, _chain_mdp().transitions)
+        rewards[0] = np.nan
+        assert spec.rewards[0] == 0.0
+        m = spec.transitions
+        for array in (spec.rewards, m.values, m.col_idx, m.row_ptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+        assert_allclose(m.dense().sum(axis=1), 1.0)

@@ -20,7 +20,6 @@ from compactmdp import (
     rho_from_connect_time,
     stm_nonzeros,
     to_sparse,
-    validate,
 )
 from compactmdp.core import stochastic_problems
 from compactmdp.node import (
@@ -287,10 +286,9 @@ class TestNodeConfig:
         assert all(type(x) is float for x in vectors + config.app_transition[0])
 
     def test_build_mdp_is_valid(self):
-        spec = build_mdp(NodeConfig())
+        spec = build_mdp(NodeConfig())  # MdpSpec refuses an invalid model
         assert spec.n_states == 66
         assert spec.n_actions == 2
-        assert validate(spec).ok
 
     @pytest.mark.parametrize(
         "overrides",

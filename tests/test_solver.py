@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from compactmdp import (
     MdpSpec,
     NodeConfig,
+    SparseMatrixCSR,
     build_mdp,
     dense_value_iteration,
     load_scenario,
@@ -119,6 +120,30 @@ def test_agrees_with_dense_solver_on_random_mdps():
         assert result.iterations == iterations
 
 
+def test_directly_built_specs_agree_with_dense_solver():
+    """A CSR built from its own arrays is held to the rules of one from
+    ``to_sparse``.  One cell stored as two halves at one coordinate, which the
+    kernels would sum and ``dense()`` would not, is refused; the CSRs that are
+    accepted solve to the dense oracle's policy and values."""
+    with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+        SparseMatrixCSR(1, 1, np.array([0, 2]), np.array([0, 0]), np.array([0.5, 0.5]))
+    one_cell = SparseMatrixCSR(1, 1, np.array([0, 1]), np.array([0]), np.array([1.0]))
+    specs = [MdpSpec(1, 1, np.array([1.0]), one_cell)]
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        spec = random_mdp(rng, max_states=30)
+        m = spec.transitions
+        direct = SparseMatrixCSR(
+            m.n_rows, m.n_cols, m.row_ptr.copy(), m.col_idx.copy(), m.values.copy()
+        )
+        specs.append(replace(spec, transitions=direct))
+    for spec in specs:
+        result = svi_solve(spec)
+        values, policy, _ = dense_value_iteration(spec)
+        assert np.array_equal(result.policy, policy)
+        assert np.max(np.abs(result.values - values)) <= 1e-9
+
+
 def test_agrees_with_dense_solver_on_case_study():
     spec = build_mdp(load_scenario("default").node)
     result = svi_solve(spec)
@@ -160,9 +185,9 @@ def test_deterministic_rerun_is_bitwise_identical():
 
 
 def test_rejects_invalid_rows():
-    spec = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
+    """The spec refuses the rows when it is built, so no solver sees them."""
     with pytest.raises(ValueError, match="row 0"):
-        svi_solve(spec)
+        MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
 
 
 def test_iteration_cap_raises_with_last_iterate():
@@ -174,17 +199,17 @@ def test_iteration_cap_raises_with_last_iterate():
 
 
 @pytest.mark.parametrize("cap", [0, -5])
-def test_iteration_cap_below_one_is_rejected_before_validation(cap):
-    invalid = MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
+def test_iteration_cap_below_one_is_rejected(cap):
+    spec = MdpSpec(1, 1, np.array([1.0]), to_sparse([[1.0]]))
     with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
-        svi_solve(invalid, max_iterations=cap)
+        svi_solve(spec, max_iterations=cap)
 
 
 class TestSolveCost:
     def test_case_study_ratio(self):
         result = svi_solve(build_mdp(load_scenario("default").node))
         cost = solve_cost(result)
-        assert cost.sparse_macs == result.iterations * 444
+        assert cost.sparse_macs == result.kernel_op_count == result.iterations * 444
         assert cost.dense_macs == result.iterations * 66 * 66 * 2
         assert_allclose(cost.ratio, 8712 / 444, rtol=1e-15)
 

@@ -48,12 +48,16 @@ class TestConversions:
 
     def test_duplicate_coordinates_rejected(self):
         """A repeated coordinate would be one value to ``dense()`` and their
-        sum to the kernels, so it is refused."""
+        sum to the kernels, so the CSR refuses it however it is built."""
         with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
             coo_to_csr(1, 1, np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.5]))
         rows, cols = np.array([1, 0, 1, 0]), np.array([0, 1, 0, 0])
         with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
             coo_to_csr(2, 2, rows, cols, np.ones(4))
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+            SparseMatrixCSR(1, 1, np.array([0, 2]), np.array([0, 0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(2, 1\)"):
+            SparseMatrixCSR(3, 2, np.array([0, 1, 1, 3]), np.array([1, 1, 1]), np.ones(3))
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
@@ -70,18 +74,52 @@ class TestConversions:
         shape is refused when it is built."""
         good = to_sparse(np.array([[1.0, 0.0], [0.5, 0.5]]))
         fields = dict(n_rows=2, n_cols=2, row_ptr=good.row_ptr, col_idx=good.col_idx,
-                      values=good.values, row_idx=good.row_idx)
+                      values=good.values)
         assert_array_equal(SparseMatrixCSR(**fields).dense(), good.dense())
         for bad, match in [
-            (dict(n_rows=3), "row_ptr must have 4 entries ending at 3"),
-            (dict(row_ptr=np.array([0, 1, 2])), "row_ptr must have 3 entries ending at 3"),
+            (dict(n_rows=3), "row_ptr must rise from 0 to 3 in 4 entries"),
+            (dict(row_ptr=np.array([0, 1, 2])), "row_ptr must rise from 0 to 3 in 3 entries"),
+            (dict(row_ptr=np.array([1, 1, 3])), "row_ptr must rise from 0 to 3 in 3 entries"),
+            (dict(row_ptr=np.array([0, 4, 3])), "row_ptr must rise from 0 to 3 in 3 entries"),
             (dict(n_cols=1), r"col_idx must hold 3 indices in \[0, 1\)"),
             (dict(col_idx=np.array([0, 0, -1])), r"col_idx must hold 3 indices in \[0, 2\)"),
-            (dict(row_idx=np.array([0, 1])), r"row_idx must hold 3 indices in \[0, 2\)"),
-            (dict(row_idx=np.array([0, 1, 2])), r"row_idx must hold 3 indices in \[0, 2\)"),
+            (dict(col_idx=np.array([0, 1])), r"col_idx must hold 3 indices in \[0, 2\)"),
         ]:
             with pytest.raises(ValueError, match=match):
                 SparseMatrixCSR(**{**fields, **bad})
+
+    def test_construction_rejects_unsorted_rows(self):
+        """Each row's columns must rise; ``coo_to_csr`` sorts them so."""
+        with pytest.raises(ValueError, match="row 1 has its columns out of order"):
+            SparseMatrixCSR(2, 2, np.array([0, 1, 3]), np.array([0, 1, 0]), np.ones(3))
+        # A column may fall across a row boundary.
+        csr = SparseMatrixCSR(2, 2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))
+        assert_array_equal(csr.dense(), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_row_idx_is_derived_from_row_ptr(self):
+        csr = SparseMatrixCSR(4, 2, np.array([0, 0, 2, 2, 3]), np.array([0, 1, 1]), np.ones(3))
+        assert_array_equal(csr.row_idx, [1, 1, 3])
+        assert csr.row_idx.dtype == np.intp
+        # Writable, because np.bincount would copy a read-only index on every product.
+        assert csr.row_idx.flags.writeable
+        with pytest.raises(TypeError):
+            SparseMatrixCSR(1, 1, np.array([0, 1]), np.array([0]), np.ones(1), np.array([0]))
+
+    def test_arrays_are_read_only(self):
+        """The arrays a CSR was checked with cannot change: it marks them
+        read-only.  The conversions hand it fresh arrays, so their own inputs
+        stay writable."""
+        row_ptr, col_idx, values = np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0])
+        csr = SparseMatrixCSR(2, 2, row_ptr, col_idx, values)
+        for array in (row_ptr, col_idx, values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert_array_equal(csr.dense(), [[0.0, 1.0], [1.0, 0.0]])
+        matrix = np.eye(2)
+        rows, cols, ones = np.array([1, 0]), np.array([1, 0]), np.ones(2)
+        to_sparse(matrix)
+        coo_to_csr(2, 2, rows, cols, ones)
+        assert all(a.flags.writeable for a in (matrix, rows, cols, ones))
 
     def test_nbytes_counts_the_four_arrays(self):
         csr = to_sparse(np.eye(4))
