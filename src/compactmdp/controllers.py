@@ -70,7 +70,8 @@ class ParameterEstimates:
 
     Both start at the design-time priors of ``config`` (valid by
     construction), whose ``frame_period`` is the unit of every measured
-    duration; only ``alpha`` is checked here.
+    duration; only ``alpha`` is checked here, and it is fixed from then on:
+    its complement ``1 - alpha`` is taken once.
 
     The matrix is kept as rows of Python floats, so the per-frame update is
     scalar arithmetic; ``sigma_hat`` returns it as a fresh ``(n, n)`` array.
@@ -82,6 +83,7 @@ class ParameterEstimates:
         self._rows = np.asarray(config.app_transition, dtype=float).tolist()
         self.connect_time_hat = config.connect_time
         self.alpha = alpha
+        self._keep = 1.0 - alpha
         self.frame_period = config.frame_period
 
     @property
@@ -97,18 +99,21 @@ class ParameterEstimates:
     def observe_app_transition(self, prev_mode, next_mode):
         """Blend the observed one-hot transition into ``sigma_hat``'s row.
 
-        The row total is summed left to right, which for rows of fewer than 8
-        modes is bitwise numpy's ``row.sum()`` (numpy sums longer rows
+        One pass scales each entry by ``1 - alpha``, adds ``alpha`` to the
+        observed successor's entry and sums the row; a second divides by the
+        total.  The total is summed left to right, which for rows of fewer
+        than 8 modes is bitwise numpy's ``row.sum()`` (numpy sums longer rows
         pairwise).  The builtin ``sum`` compensates from Python 3.12 on, so
         it would change the bits.
         """
-        keep = 1.0 - self.alpha
+        keep = self._keep
         row = self._rows[prev_mode]
-        for j, p in enumerate(row):
-            row[j] = p * keep
-        row[next_mode] += self.alpha
         total = 0.0
-        for p in row:
+        for j, p in enumerate(row):
+            p *= keep
+            if j == next_mode:
+                p += self.alpha
+            row[j] = p
             total += p
         for j, p in enumerate(row):
             row[j] = p / total
@@ -117,7 +122,7 @@ class ParameterEstimates:
         """Blend one measured attach duration into ``connect_time_hat``."""
         if seconds < self.frame_period:
             raise ValueError(f"attach duration {seconds} shorter than one frame")
-        blended = self.connect_time_hat * (1.0 - self.alpha) + seconds * self.alpha
+        blended = self.connect_time_hat * self._keep + seconds * self.alpha
         self.connect_time_hat = max(blended, self.frame_period)
 
     def rho(self):
@@ -216,16 +221,11 @@ class StructuredController:
         next_modem = s_next % N_MODEM_STATES
         if next_modem == M_CONNECTING:
             self._connecting_frames += 1
-        elif (
-            next_modem == M_CONNECTED
-            and s % N_MODEM_STATES == M_CONNECTING
-            and self._connecting_frames > 0
-        ):
-            self.estimates.observe_connect_time(
-                self._connecting_frames * self.config.frame_period
-            )
-            self._connecting_frames = 0
-        else:
+        elif self._connecting_frames:
+            if next_modem == M_CONNECTED and s % N_MODEM_STATES == M_CONNECTING:
+                self.estimates.observe_connect_time(
+                    self._connecting_frames * self.config.frame_period
+                )
             self._connecting_frames = 0
 
 
@@ -262,6 +262,7 @@ class QLearningController:
         self.epsilon_decay = epsilon_decay
         self.rng = np.random.default_rng(seed)
         self.n_states = config.n_states
+        self._discount = config.discount
         self.q = [0.0] * (self.n_states * N_ACTIONS)
         # The unused rest of the current block, last draw first, and the
         # generator state the block was drawn from.
@@ -293,9 +294,15 @@ class QLearningController:
 
     def observe(self, s, action, reward, s_next, frame):
         q = self.q
-        best_next = max(q[s_next], q[self.n_states + s_next])
-        i = action * self.n_states + s
-        q[i] += self.alpha * (reward + self.config.discount * best_next - q[i])
+        n = self.n_states
+        # max(): the second value wins only if it is strictly greater.
+        best_next = q[s_next]
+        on_next = q[n + s_next]
+        if on_next > best_next:
+            best_next = on_next
+        i = action * n + s
+        old = q[i]
+        q[i] = old + self.alpha * (reward + self._discount * best_next - old)
         if self.epsilon_decay < 1.0:
             self.epsilon *= self.epsilon_decay
 

@@ -13,7 +13,9 @@ app-mode statistics, packet probabilities) through a piecewise-constant
 schedule, which is what makes runtime learning worth measuring.  The
 environment's randomness does not depend on the controller, so a scenario
 draws its whole app-mode and arrival path once, on its first run, and every
-run on it (all of a sweep's points at one seed) reads that one path.
+run on it (all of a sweep's points at one seed) reads that one path.  The
+frame loop walks the path by iteration, and takes each frame's reward from a
+table built before frame 0 with the frame-reward expression.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``.
 Every controller carries the ``config`` it was built for, and :func:`simulate`
@@ -237,11 +239,15 @@ def simulate(scenario, controller):
     sample path.  That path (app modes and packet arrivals, under the
     schedule) is drawn once per scenario, before frame 0 of its first run,
     and every later run of the same scenario reuses it; the frame loop then
-    only steps the modem and the queue and calls the controller once to
-    ``act`` and once to ``observe``, with flat state indices.  The ``config``
+    walks it by iteration, only steps the modem and the queue, and calls the
+    controller's ``act`` and ``observe`` once each, with flat state indices
+    (both looked up on the controller when the run starts).  The ``config``
     the controller was built for must match the scenario's app modes, queue
     levels and frame period, and each frame's reward (passed to ``observe``
     and summed in ``reward_total``) uses that config's ``reward_weights``.
+    The loop reads the reward from a table built before frame 0 with the
+    frame-reward expression, ``w_current * amps[modem] + w_tx * n_tx +
+    w_drop * n_drop``, so its bits are those of evaluating it every frame.
     """
     config = scenario.node
     frames = scenario.duration_frames
@@ -269,12 +275,26 @@ def simulate(scenario, controller):
     # Attach length in frames for the connect_time in force at each step.
     step_frames = [at for at, _ in steps]
     attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
+
+    def reward(modem, n_tx, n_drop):
+        return w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
+
+    # The reward of every frame outcome, tabulated before frame 0: by modem
+    # state with nothing sent or dropped, by modem state with one arrival
+    # dropped, and connected by the number of packets sent.
+    idle = [reward(modem, 0, 0) for modem in range(N_MODEM_STATES)]
+    dropping = [reward(modem, 0, 1) for modem in range(N_MODEM_STATES)]
+    sent = [reward(M_CONNECTED, n_tx, 0) for n_tx in range(tx_per_frame + 1)]
+    # Looked up through the controller when the run starts, so a rebinding of
+    # the class's methods made before the run sees every call.
     act = controller.act
     observe = controller.observe
+    on, off, connecting, connected = ACTION_ON, M_OFF, M_CONNECTING, M_CONNECTED
+    stride = N_MODEM_STATES
 
     queue_len = 0
-    modem = M_OFF
-    s = (app_path[0] * nq + queue_len) * N_MODEM_STATES + modem
+    modem = off
+    s = (app_path[0] * nq + queue_len) * stride + modem
     queue = deque()
     attach_frames_left = 0
 
@@ -286,50 +306,54 @@ def simulate(scenario, controller):
     latency_frames = 0
     reward_total = 0.0
 
-    for frame in range(frames):
+    for frame, arrived, app in zip(range(frames), arrivals, app_path[1:]):
         action = act(s, frame)
 
         # Modem first: the frame is spent in the state being entered.
-        if action == ACTION_ON:
-            if modem == M_OFF:
-                modem = M_CONNECTING
+        if action == on:
+            if modem == off:
+                modem = connecting
                 attach_frames_left = attach_lengths[bisect_right(step_frames, frame) - 1]
                 transaction_packets = 0
-            elif modem == M_CONNECTING:
+            elif modem == connecting:
                 attach_frames_left -= 1
                 if attach_frames_left == 0:
-                    modem = M_CONNECTED
-        elif modem != M_OFF:
-            modem = M_OFF
+                    modem = connected
+        elif modem != off:
+            modem = off
             transactions += 1
             transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
 
         # Application: packet emission uses this frame's mode.
-        n_tx = 0
-        n_drop = 0
-        if modem == M_CONNECTED:
-            if arrivals[frame]:
+        if modem == connected:
+            if arrived:
                 queue.append(frame)
                 queue_len += 1
-            n_tx = min(queue_len, tx_per_frame)
-            for _ in range(n_tx):
-                latency_frames += frame - queue.popleft()
-            queue_len -= n_tx
-            transmitted += n_tx
-            transaction_packets += n_tx
-        elif arrivals[frame]:
+            if queue_len:
+                n_tx = min(queue_len, tx_per_frame)
+                for _ in range(n_tx):
+                    latency_frames += frame - queue.popleft()
+                queue_len -= n_tx
+                transmitted += n_tx
+                transaction_packets += n_tx
+                frame_reward = sent[n_tx]
+            else:
+                frame_reward = sent[0]
+        elif arrived:
             if queue_len < cap:
                 queue.append(frame)
                 queue_len += 1
+                frame_reward = idle[modem]
             else:
                 dropped += 1
-                n_drop = 1
+                frame_reward = dropping[modem]
+        else:
+            frame_reward = idle[modem]
 
         current_energy += frame_energy[modem]
-        frame_reward = w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
         reward_total += frame_reward
 
-        s_next = (app_path[frame + 1] * nq + queue_len) * N_MODEM_STATES + modem
+        s_next = (app * nq + queue_len) * stride + modem
         observe(s, action, frame_reward, s_next, frame)
         s = s_next
 

@@ -96,9 +96,18 @@ def coo_to_csr(n_rows, n_cols, rows, cols, values):
     """Build a CSR matrix from coordinate triples.
 
     Entries may arrive in any order; they are sorted by (row, column) and the
-    row pointer is built from the per-row counts.  The CSR refuses a
-    coordinate given twice.
+    row pointer is built from the per-row counts.  The three arrays must be
+    of equal length and every row inside ``[0, n_rows)``; the CSR refuses a
+    coordinate given twice or a column outside the matrix.
     """
+    if not len(rows) == len(cols) == len(values):
+        raise ValueError(
+            f"rows, cols and values must have equal lengths, got "
+            f"{len(rows)}, {len(cols)} and {len(values)}"
+        )
+    if len(rows) and not 0 <= rows.min() <= rows.max() < n_rows:
+        outside = rows[(rows < 0) | (rows >= n_rows)]
+        raise ValueError(f"row {outside[0]} is outside [0, {n_rows})")
     order = np.lexsort((cols, rows))
     counts = np.bincount(rows, minlength=n_rows)
     return SparseMatrixCSR(

@@ -435,6 +435,84 @@ class TestBatchedExploration:
         assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+def max_formula_observe(controller, s, action, reward, s_next, frame):
+    """Q-learning's update as ``max()`` and an in-place add wrote it."""
+    q = controller.q
+    best_next = max(q[s_next], q[controller.n_states + s_next])
+    i = action * controller.n_states + s
+    q[i] += controller.alpha * (reward + controller.config.discount * best_next - q[i])
+    if controller.epsilon_decay < 1.0:
+        controller.epsilon *= controller.epsilon_decay
+
+
+def row_formula_observe(estimates, prev_mode, next_mode, seconds=None):
+    """The estimates' updates with ``1 - alpha`` taken at every call."""
+    keep = 1.0 - estimates.alpha
+    row = estimates._rows[prev_mode]
+    for j, p in enumerate(row):
+        row[j] = p * keep
+    row[next_mode] += estimates.alpha
+    total = 0.0
+    for p in row:
+        total += p
+    for j, p in enumerate(row):
+        row[j] = p / total
+    if seconds is not None:
+        blended = (estimates.connect_time_hat * (1.0 - estimates.alpha)
+                   + seconds * estimates.alpha)
+        estimates.connect_time_hat = max(blended, estimates.frame_period)
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestPerFrameUpdatesAreTheirFormulas:
+    """The learners' per-frame methods give the bits of the plain formulas."""
+
+    def test_q_learning_observe_keeps_max_and_its_tie_order(self):
+        rng = np.random.default_rng(17)
+        config = NodeConfig()
+        got = QLearningController(config, alpha=0.3, epsilon=0.5, epsilon_decay=0.999)
+        want = QLearningController(config, alpha=0.3, epsilon=0.5, epsilon_decay=0.999)
+        n = config.n_states
+        # Each frame first sets the successor's two values from a few, signed
+        # zeros among them, so that they often tie, as equal numbers or as
+        # +0.0/-0.0.
+        values = [-1.5, -0.0, 0.0, 0.25, 2.0]
+        ties = signed_ties = 0
+        for frame in range(20000):
+            s, s_next = (int(x) for x in rng.integers(n, size=2))
+            action = int(rng.integers(2))
+            off, on, reward = (values[k] for k in rng.integers(len(values), size=3))
+            for q in (got.q, want.q):
+                q[s_next], q[n + s_next] = off, on
+            ties += off == on
+            signed_ties += off == on == 0.0 and str(off) != str(on)
+            got.observe(s, action, reward, s_next, frame)
+            max_formula_observe(want, s, action, reward, s_next, frame)
+        assert ties > 3000 and signed_ties > 1000
+        assert np.array_equal(float_bits(got.q), float_bits(want.q))
+        assert got.epsilon == want.epsilon
+
+    def test_estimates_updates_keep_the_row_formula(self):
+        rng = np.random.default_rng(23)
+        config = NodeConfig(
+            app_transition=((0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.2, 0.3, 0.5)),
+            app_packet_prob=(0.05, 0.5, 1.0),
+        )
+        got = ParameterEstimates(config, alpha=0.3)
+        want = ParameterEstimates(config, alpha=0.3)
+        for _ in range(5000):
+            prev_mode, next_mode = (int(x) for x in rng.integers(3, size=2))
+            seconds = float(rng.uniform(0.1, 10.0)) if rng.random() < 0.1 else None
+            got.observe_app_transition(prev_mode, next_mode)
+            if seconds is not None:
+                got.observe_connect_time(seconds)
+            row_formula_observe(want, prev_mode, next_mode, seconds)
+        assert np.array_equal(float_bits(got._rows), float_bits(want._rows))
+        assert got.connect_time_hat == want.connect_time_hat
+
 class TestLearnableParameterCount:
     def test_case_study_counts(self):
         config = NodeConfig()

@@ -4,6 +4,11 @@
 class attributes by name.  Entering its ``Tracer().installed()`` block looks
 each of them up, so a package change that drops or renames one fails here,
 in the package's own tests, and not only in the benchmark's.  No workload runs.
+
+The wrappers it and ``workloads.SolveClock`` install on the controller classes
+see a call only if the package makes it through the class: ``simulate`` must
+call ``act`` and ``observe`` once a frame, looked up on the controller when
+the run starts, and the planner must re-solve through ``resolve_policy``.
 """
 
 import importlib
@@ -26,3 +31,44 @@ def test_tracer_installs_and_restores_every_traced_name(monkeypatch):
     for owner, names in zip(owners, before):
         after = vars(owner)
         assert [n for n, value in names.items() if after.get(n) is not value] == []
+
+
+def counting(monkeypatch, cls, name, counts):
+    """Rebind ``cls.name`` to a wrapper that counts its calls in ``counts``."""
+    original = getattr(cls, name)
+    key = f"{cls.__name__}.{name}"
+    counts[key] = 0
+
+    def counted(self, *args):
+        counts[key] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_simulate_calls_act_and_observe_once_a_frame_through_the_controller(monkeypatch):
+    """The tracer's per-frame wrappers, installed on the classes after the
+    controllers are built, see every frame's ``act`` and ``observe``."""
+    scenario = sim.Scenario(duration_frames=3000, seed=2)
+    built = [sim.make_controller(series, scenario.node, value, seed=2)
+             for series, value in (("on-off", 3), ("mdp", 5.0), ("ql", 5.0))]
+    counts = {}
+    for controller in built:
+        for name in ("act", "observe"):
+            counting(monkeypatch, type(controller), name, counts)
+    for controller in built:
+        sim.simulate(scenario, controller)
+    assert counts == {f"{type(c).__name__}.{name}": 3000
+                      for c in built for name in ("act", "observe")}
+
+
+def test_the_planner_re_solves_through_resolve_policy(monkeypatch):
+    """``SolveClock`` times each re-solve by rebinding ``resolve_policy``:
+    hourly, 75 000 default frames reach it at frames 0, 36 000 and 72 000."""
+    scenario = sim.Scenario(duration_frames=75000)
+    controller = controllers.StructuredController(scenario.node)
+    counts = {}
+    counting(monkeypatch, controllers.StructuredController, "resolve_policy", counts)
+    metrics = sim.simulate(scenario, controller)
+    assert counts == {"StructuredController.resolve_policy": 3}
+    assert metrics.solver_invocations == 3

@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import pickle
+from bisect import bisect_right
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -30,11 +32,22 @@ from compactmdp import (
 )
 from compactmdp import sim
 from compactmdp.controllers import DEFAULT_EPSILON_DECAY
+from compactmdp.node import (
+    ACTION_ON,
+    M_CONNECTED,
+    M_CONNECTING,
+    M_OFF,
+    N_MODEM_STATES,
+    SUPPLY_VOLTS,
+    energy_per_transaction,
+    floor_frames,
+)
 from compactmdp.sim import (
     NQ_SWEEP,
     R2_SWEEP,
     SERIES_LABELS,
     SWEEP_CSV_COLUMNS,
+    SimMetrics,
 )
 from support import AlwaysOnController
 
@@ -221,6 +234,234 @@ class TestRewardOwner:
         base = run(ThresholdController(NodeConfig(), 3), frames=20000)
         assert replace(metrics, reward_total=base.reward_total) == base
 
+
+def reference_simulate(scenario, controller):
+    """The reference frame loop: it indexes the trace twice a frame and
+    evaluates the reward expression every frame.  ``simulate`` must give its
+    runs bit for bit."""
+    config = scenario.node
+    frames = scenario.duration_frames
+    built = controller.config
+    if (built.n_app_modes, built.queue_states, built.frame_period) != (
+        config.n_app_modes, config.queue_states, config.frame_period
+    ):
+        raise ValueError(
+            f"controller is built for {built.n_states} states ({built.n_app_modes} app "
+            f"modes x {built.queue_states} queue levels) in {built.frame_period} s frames, "
+            f"the scenario's node has {config.n_states} ({config.n_app_modes} x "
+            f"{config.queue_states}) in {config.frame_period} s frames"
+        )
+    steps = scenario._steps
+    app_path, arrivals = scenario._trace
+
+    frame_period = config.frame_period
+    nq = config.queue_states
+    cap = config.capacity
+    tx_per_frame = config.tx_per_frame
+    c1, c2 = config.energy_c1, config.energy_c2
+    w_current, w_tx, w_drop = built.reward_weights
+    amps = [c * 1e-3 for c in config.currents_ma]
+    frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
+    # Attach length in frames for the connect_time in force at each step.
+    step_frames = [at for at, _ in steps]
+    attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
+    act = controller.act
+    observe = controller.observe
+
+    queue_len = 0
+    modem = M_OFF
+    s = (app_path[0] * nq + queue_len) * N_MODEM_STATES + modem
+    queue = deque()
+    attach_frames_left = 0
+
+    transaction_packets = 0
+    transactions = 0
+    transaction_energy = 0.0
+    current_energy = 0.0
+    transmitted = dropped = 0
+    latency_frames = 0
+    reward_total = 0.0
+
+    for frame in range(frames):
+        action = act(s, frame)
+
+        # Modem first: the frame is spent in the state being entered.
+        if action == ACTION_ON:
+            if modem == M_OFF:
+                modem = M_CONNECTING
+                attach_frames_left = attach_lengths[bisect_right(step_frames, frame) - 1]
+                transaction_packets = 0
+            elif modem == M_CONNECTING:
+                attach_frames_left -= 1
+                if attach_frames_left == 0:
+                    modem = M_CONNECTED
+        elif modem != M_OFF:
+            modem = M_OFF
+            transactions += 1
+            transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
+
+        # Application: packet emission uses this frame's mode.
+        n_tx = 0
+        n_drop = 0
+        if modem == M_CONNECTED:
+            if arrivals[frame]:
+                queue.append(frame)
+                queue_len += 1
+            n_tx = min(queue_len, tx_per_frame)
+            for _ in range(n_tx):
+                latency_frames += frame - queue.popleft()
+            queue_len -= n_tx
+            transmitted += n_tx
+            transaction_packets += n_tx
+        elif arrivals[frame]:
+            if queue_len < cap:
+                queue.append(frame)
+                queue_len += 1
+            else:
+                dropped += 1
+                n_drop = 1
+
+        current_energy += frame_energy[modem]
+        frame_reward = w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
+        reward_total += frame_reward
+
+        s_next = (app_path[frame + 1] * nq + queue_len) * N_MODEM_STATES + modem
+        observe(s, action, frame_reward, s_next, frame)
+        s = s_next
+
+    # A transaction still open at the end (modem not off) is counted too.
+    if modem != M_OFF:
+        transactions += 1
+        transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
+
+    avg_latency = (
+        latency_frames * frame_period / transmitted if transmitted else float("nan")
+    )
+    energy_per_packet = (
+        transaction_energy / transmitted if transmitted else float("nan")
+    )
+    return SimMetrics(
+        frames=frames,
+        packets_generated=arrivals.count(1),
+        packets_transmitted=transmitted,
+        packets_dropped=dropped,
+        packets_queued_at_end=queue_len,
+        avg_latency=avg_latency,
+        energy_per_packet=energy_per_packet,
+        transaction_energy=transaction_energy,
+        transactions=transactions,
+        modem_current_energy=current_energy,
+        reward_total=reward_total,
+        solver_invocations=getattr(controller, "solve_count", 0),
+        solver_kernel_ops=getattr(controller, "total_kernel_ops", 0),
+    )
+
+
+class RecordingProxy:
+    """Passes every call to ``inner`` and keeps each ``observe`` argument tuple."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config = inner.config
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def act(self, s, frame=0):
+        return self.inner.act(s, frame)
+
+    def observe(self, s, action, reward, s_next, frame):
+        self.seen.append((s, action, reward, s_next, frame))
+        self.inner.observe(s, action, reward, s_next, frame)
+
+
+#: Nodes whose runs reach every frame outcome the reward table holds: a
+#: 2-packet queue (so arrivals are dropped), one and three transmissions per
+#: frame, and a zero packet reward with the 0 mA off current (each frame's
+#: reward a signed zero sum).
+REFERENCE_NODES = {
+    "tx1": NodeConfig(queue_states=3, tx_per_frame=1, app_packet_prob=(0.1, 0.7)),
+    "tx3": NodeConfig(queue_states=3, tx_per_frame=3, app_packet_prob=(0.1, 0.9)),
+    "zero": NodeConfig(queue_states=3, reward_weights=(-10.0, 0.0, -100.0)),
+}
+
+
+def reference_scenario(config):
+    """2 400 s on ``config``, with mid-run changes of the attach delay and
+    the packet probabilities."""
+    schedule = (
+        ScheduleChange(400.0, "connect_time", 3.5),
+        ScheduleChange(900.0, "app_packet_prob", (0.3, 0.95)),
+        ScheduleChange(1500.0, "connect_time", 0.5),
+    )
+    return Scenario(node=config, duration_frames=24000, seed=11, schedule=schedule)
+
+
+def reference_controllers(config):
+    """One controller of each series, all by ``config``'s reward weights."""
+    packet_reward = config.reward_weights[1]
+    return {
+        "on-off": make_controller("on-off", config, 2),
+        "mdp": make_controller("mdp", config, packet_reward, solve_period=120.0),
+        "ql": make_controller("ql", config, packet_reward, seed=3, epsilon=0.3,
+                              epsilon_decay=1.0),
+    }
+
+
+def outcome_rewards(config):
+    """The reward of every reachable (modem, sent, dropped) frame outcome."""
+    w_current, w_tx, w_drop = config.reward_weights
+    amps = [c * 1e-3 for c in config.currents_ma]
+    outcomes = [(modem, 0, 0) for modem in range(N_MODEM_STATES)]
+    outcomes += [(M_OFF, 0, 1), (M_CONNECTING, 0, 1)]
+    outcomes += [(M_CONNECTED, n_tx, 0) for n_tx in range(1, config.tx_per_frame + 1)]
+    return {
+        outcome: w_current * amps[outcome[0]] + w_tx * outcome[1] + w_drop * outcome[2]
+        for outcome in outcomes
+    }
+
+
+class TestAgainstTheReferenceLoop:
+    """``simulate`` gives bit for bit the reference loop's runs: the same
+    metrics and the same ``observe`` calls, down to a reward's sign bit."""
+
+    def check(self, scenario, reference, controller):
+        reference, changed = RecordingProxy(reference), RecordingProxy(controller)
+        expected = reference_simulate(scenario, reference)
+        metrics = simulate(scenario, changed)
+        assert metrics == expected
+        assert repr(metrics) == repr(expected)
+        assert repr(changed.seen) == repr(reference.seen)
+        return changed.seen
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_NODES))
+    def test_every_series_matches_the_reference_loop(self, name):
+        config = REFERENCE_NODES[name]
+        scenario = reference_scenario(config)
+        want, got = reference_controllers(config), reference_controllers(config)
+        rewards = set()
+        for series in SERIES_LABELS:
+            seen = self.check(scenario, want[series], got[series])
+            rewards.update(repr(frame[2]) for frame in seen)
+        assert rewards == {repr(r) for r in outcome_rewards(config).values()}
+        assert got["mdp"].solve_count == 2400 // 120
+        assert np.array_equal(np.array(got["ql"].q).view(np.int64),
+                              np.array(want["ql"].q).view(np.int64))
+
+    def test_a_run_that_ends_with_the_modem_on(self):
+        config = REFERENCE_NODES["tx1"]
+        scenario = reference_scenario(config)
+        always_on = [make_controller("mdp", config, 1000.0) for _ in range(2)]
+        seen = self.check(scenario, *always_on)
+        assert seen[-1][3] % N_MODEM_STATES != M_OFF
+
+    def test_the_zero_packet_reward_sums_signed_zeros(self):
+        config = REFERENCE_NODES["zero"]
+        w_current, w_tx, w_drop = config.reward_weights
+        parts = (w_current * config.currents_ma[M_OFF], w_tx * 0, w_drop * 0)
+        assert [math.copysign(1.0, p) for p in parts] == [-1.0, 1.0, -1.0]
+        assert math.copysign(1.0, outcome_rewards(config)[(M_OFF, 0, 0)]) == 1.0
 
 class TestSchedule:
     def test_parameter_step_changes_the_run(self):

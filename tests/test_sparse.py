@@ -59,6 +59,26 @@ class TestConversions:
         with pytest.raises(ValueError, match=r"duplicate coordinate \(2, 1\)"):
             SparseMatrixCSR(3, 2, np.array([0, 1, 1, 3]), np.array([1, 1, 1]), np.ones(3))
 
+    def test_coo_triples_of_unequal_length_are_rejected(self):
+        """A surplus value or index is refused, not dropped."""
+        message = "rows, cols and values must have equal lengths, got"
+        for rows, cols, values, lengths in [
+            ([0], [0], [1.0, 5.0], "1, 1 and 2"),
+            ([0, 1], [0], [1.0, 5.0], "2, 1 and 2"),
+            ([0], [0, 1], [1.0], "1, 2 and 1"),
+        ]:
+            with pytest.raises(ValueError, match=f"{message} {lengths}"):
+                coo_to_csr(2, 2, np.array(rows), np.array(cols), np.array(values))
+
+    @pytest.mark.parametrize("row", [2, 7, -1])
+    def test_coo_row_outside_the_matrix_is_named(self, row):
+        with pytest.raises(ValueError, match=rf"row {row} is outside \[0, 2\)"):
+            coo_to_csr(2, 2, np.array([0, row]), np.array([0, 1]), np.ones(2))
+
+    def test_coo_column_outside_the_matrix_is_refused(self):
+        with pytest.raises(ValueError, match=r"col_idx must hold 2 indices in \[0, 2\)"):
+            coo_to_csr(2, 2, np.array([0, 1]), np.array([0, 2]), np.ones(2))
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
