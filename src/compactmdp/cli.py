@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 on validation/config errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -159,6 +160,13 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     scenario, options = _run_inputs(args)
+    if args.out != "-":
+        # Before any run, and creating nothing: a bad grid value leaves no CSV.
+        directory = os.path.dirname(os.path.abspath(args.out))
+        target = args.out if os.path.exists(args.out) else directory
+        if (os.path.isdir(args.out) or not os.path.isdir(directory)
+                or not os.access(target, os.W_OK)):
+            raise ValueError(f"cannot write the sweep CSV to {args.out}")
     points = pareto_sweep(
         scenario,
         series=args.methods,

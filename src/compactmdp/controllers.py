@@ -3,7 +3,7 @@
 Three policies share one frame-stepped protocol over the flat state index
 ``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
 layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
-an action, then ``observe(s, action, reward, s_next, frame)`` learns from the
+an action, then ``observe(s, action, reward, s_next)`` learns from the
 frame's outcome.  Every controller is built from, and keeps, the (valid by
 construction) ``config`` it plans for and reads every model number (layout,
 frame period, discount, the planner's priors) off it;
@@ -158,10 +158,10 @@ class ThresholdController:
             for modem in range(N_MODEM_STATES)
         ]
 
-    def act(self, s, frame=0):
+    def act(self, s, frame):
         return self.policy[s]
 
-    def observe(self, s, action, reward, s_next, frame):
+    def observe(self, s, action, reward, s_next):
         return None
 
 
@@ -208,13 +208,13 @@ class StructuredController:
         self.solve_count += 1
         self.total_kernel_ops += result.kernel_op_count
 
-    def act(self, s, frame=0):
+    def act(self, s, frame):
         if frame >= self._next_solve_frame:
             self.resolve_policy()
             self._next_solve_frame = frame + self.solve_period_frames
         return self.policy[s]
 
-    def observe(self, s, action, reward, s_next, frame):
+    def observe(self, s, action, reward, s_next):
         stride = self._mode_stride
         self.estimates.observe_app_transition(s // stride, s_next // stride)
         # Measure attach durations by counting observed CONNECTING frames.
@@ -269,7 +269,7 @@ class QLearningController:
         self._uniforms = []
         self._block_state = None
 
-    def act(self, s, frame=0):
+    def act(self, s, frame):
         epsilon = self.epsilon
         if epsilon > 0.0:
             uniforms = self._uniforms or self._draw_block()
@@ -292,7 +292,7 @@ class QLearningController:
         self._uniforms = []
         return int(rng.integers(N_ACTIONS))
 
-    def observe(self, s, action, reward, s_next, frame):
+    def observe(self, s, action, reward, s_next):
         q = self.q
         n = self.n_states
         # max(): the second value wins only if it is strictly greater.

@@ -108,20 +108,21 @@ class MdpSpec:
         validate(self)
 
 
-def stochastic_problems(matrix, name):
-    """Why the CSR ``matrix`` is not row-stochastic, one message per fault; ``[]`` if it is.
+def stochastic_problems(rows, values, n_rows, name):
+    """Why a matrix is not row-stochastic, one message per fault; ``[]`` if it is.
 
+    The ``n_rows``-row matrix ``name`` holds ``values[k]`` in row ``rows[k]``, 0 elsewhere.
     The faults are non-finite entries (reported alone), negative entries, and
     row sums off 1 by more than ``ROW_SUM_TOLERANCE``.  Nothing is repaired.
     """
-    non_finite = sorted(set(matrix.row_idx[~np.isfinite(matrix.values)].tolist()))
+    non_finite = sorted(set(rows[~np.isfinite(values)].tolist()))
     if non_finite:
         return [f"{name} has non-finite entries in rows {non_finite}"]
     messages = []
-    negative = sorted(set(matrix.row_idx[matrix.values < 0.0].tolist()))
+    negative = sorted(set(rows[values < 0.0].tolist()))
     if negative:
         messages.append(f"{name} has negative entries in rows {negative}")
-    row_sums = np.bincount(matrix.row_idx, weights=matrix.values, minlength=matrix.n_rows)
+    row_sums = np.bincount(rows, weights=values, minlength=n_rows)
     off = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
     if off.size:
         sums = (f"row {r} sums to {t!r}" for r, t in zip(off.tolist(), row_sums[off].tolist()))
@@ -142,7 +143,8 @@ def validate(spec):
     bad = np.flatnonzero(~np.isfinite(spec.rewards))
     if bad.size:
         messages.append(f"rewards are not finite at rows {bad.tolist()}")
-    messages += stochastic_problems(spec.transitions, "transitions")
+    matrix = spec.transitions
+    messages += stochastic_problems(matrix.row_idx, matrix.values, matrix.n_rows, "transitions")
     if messages:
         raise ValueError("invalid MDP: " + "; ".join(messages))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MdpSpec, stochastic_problems
-from .sparse import coo_to_csr, to_sparse
+from .sparse import coo_to_csr
 
 # Modem states.
 M_OFF, M_CONNECTING, M_CONNECTED = 0, 1, 2
@@ -219,7 +219,7 @@ def app_transition_problems(sigma, n_modes):
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n_modes, n_modes):
         return [f"app_transition shape {sigma.shape} does not match {n_modes} modes"]
-    return stochastic_problems(to_sparse(sigma), "app_transition")
+    return stochastic_problems(np.nonzero(sigma)[0], sigma[sigma != 0], n_modes, "app_transition")
 
 
 def modem_stm(rho):
@@ -375,6 +375,6 @@ def build_mdp(config, sigma=None, rho=None):
     )
 
 
-def stm_nonzeros(config, sigma=None, rho=None):
-    """Number of nonzero entries in the assembled stacked transition matrix."""
-    return assemble_stm(config, sigma=sigma, rho=rho).nnz
+def stm_nonzeros(config):
+    """Number of nonzero entries in the node's stacked transition matrix."""
+    return assemble_stm(config).nnz

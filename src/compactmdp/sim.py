@@ -354,7 +354,7 @@ def simulate(scenario, controller):
         reward_total += frame_reward
 
         s_next = (app * nq + queue_len) * stride + modem
-        observe(s, action, frame_reward, s_next, frame)
+        observe(s, action, frame_reward, s_next)
         s = s_next
 
     # A transaction still open at the end (modem not off) is counted too.
@@ -505,13 +505,12 @@ class PowerModel:
     """Energy costs of running one controller on the target MCU.
 
     ``solver_cost`` is joules per policy update (0 for methods with no
-    solver), ``frame_cost`` joules per per-frame control iteration, and
-    ``sleep_power`` the always-on floor in watts.
+    solver) and ``frame_cost`` joules per per-frame control iteration.  Every
+    model shares the always-on floor, :data:`SLEEP_POWER`.
     """
 
     solver_cost: float
     frame_cost: float
-    sleep_power: float = SLEEP_POWER
 
 
 #: Bench figures for a Cortex-M4F-class MCU: sparse solve, dense solve, and a
@@ -542,7 +541,7 @@ def average_power(model, update_period=DEFAULT_SOLVE_PERIOD,
                 f"got {update_period}"
             )
         solver_power = model.solver_cost / update_period
-    return solver_power + model.frame_cost / frame_period + model.sleep_power
+    return solver_power + model.frame_cost / frame_period + SLEEP_POWER
 
 
 def crossover_period(a, b, frame_period=NodeConfig.frame_period):
@@ -553,9 +552,7 @@ def crossover_period(a, b, frame_period=NodeConfig.frame_period):
     cheaper-solver side is also cheaper per frame).
     """
     numerator = a.solver_cost - b.solver_cost
-    denominator = (b.frame_cost - a.frame_cost) / frame_period + (
-        b.sleep_power - a.sleep_power
-    )
+    denominator = (b.frame_cost - a.frame_cost) / frame_period
     if numerator == 0.0 or denominator == 0.0:
         return None
     period = numerator / denominator

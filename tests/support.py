@@ -76,10 +76,10 @@ class AlwaysOnController:
     def __init__(self, config):
         self.config = config
 
-    def act(self, state, frame=0):
+    def act(self, state, frame):
         return ACTION_ON
 
-    def observe(self, prev_state, action, reward, next_state, frame):
+    def observe(self, prev_state, action, reward, next_state):
         return None
 
 

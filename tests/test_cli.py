@@ -240,6 +240,32 @@ class TestErrorHandling:
         )
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_fails_before_any_run(self, capsys, tmp_path, monkeypatch, where):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        out_path = tmp_path / where
+        code, out, err = run_cli(
+            capsys, "sweep", "--methods", "on-off", "--nq-values", "2",
+            "--seeds", "1", "--duration", "60", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write the sweep CSV to {out_path}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_grid_value_leaves_an_existing_out_file_as_it_was(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        out_path.write_text("an earlier sweep\n")
+        code, out, err = run_cli(
+            capsys, "sweep", "--methods", "on-off", "--nq-values", "20",
+            "--seeds", "1", "--duration", "60", "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: queue threshold 20 is above the queue capacity 10")
+        assert out_path.read_text() == "an earlier sweep\n"
+
     def test_zero_seeds_is_a_clean_failure(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--methods", "on-off", "--nq-values", "2",

@@ -124,7 +124,7 @@ class TestThresholdController:
     )
     def test_rule_table(self, queue, modem, expected):
         controller = ThresholdController(NodeConfig(), queue_threshold=3)
-        assert controller.act(NodeState(0, queue, modem).flat(11)) == expected
+        assert controller.act(NodeState(0, queue, modem).flat(11), 0) == expected
 
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError):
@@ -133,8 +133,8 @@ class TestThresholdController:
     def test_observe_is_a_no_op(self):
         controller = ThresholdController(NodeConfig(), queue_threshold=1)
         s = NodeState(0, 0, M_OFF).flat(11)
-        controller.observe(s, ACTION_OFF, 0.0, s, 0)
-        assert controller.act(s) == ACTION_OFF
+        controller.observe(s, ACTION_OFF, 0.0, s)
+        assert controller.act(s, 0) == ACTION_OFF
 
 
 class TestStructuredController:
@@ -194,23 +194,23 @@ class TestStructuredController:
         off = NodeState(0, 0, M_OFF).flat(11)
         connecting = NodeState(0, 0, M_CONNECTING).flat(11)
         connected = NodeState(0, 0, M_CONNECTED).flat(11)
-        controller.observe(off, ACTION_ON, 0.0, connecting, 0)
-        for frame in range(1, 7):
-            controller.observe(connecting, ACTION_ON, 0.0, connecting, frame)
-        controller.observe(connecting, ACTION_ON, 0.0, connected, 7)
+        controller.observe(off, ACTION_ON, 0.0, connecting)
+        for _ in range(6):
+            controller.observe(connecting, ACTION_ON, 0.0, connecting)
+        controller.observe(connecting, ACTION_ON, 0.0, connected)
         assert abs(controller.estimates.connect_time_hat - 0.7) < 1e-12
 
     def test_aborted_attach_does_not_update_the_estimate(self):
         controller = StructuredController(NodeConfig(), alpha=1.0)
         off = NodeState(0, 0, M_OFF).flat(11)
         connecting = NodeState(0, 0, M_CONNECTING).flat(11)
-        controller.observe(off, ACTION_ON, 0.0, connecting, 0)
-        controller.observe(connecting, ACTION_OFF, 0.0, off, 1)
+        controller.observe(off, ACTION_ON, 0.0, connecting)
+        controller.observe(connecting, ACTION_OFF, 0.0, off)
         assert controller.estimates.connect_time_hat == 2.0
         # A later successful attach starts its count from zero.
-        controller.observe(off, ACTION_ON, 0.0, connecting, 2)
+        controller.observe(off, ACTION_ON, 0.0, connecting)
         controller.observe(
-            connecting, ACTION_ON, 0.0, NodeState(0, 0, M_CONNECTED).flat(11), 3
+            connecting, ACTION_ON, 0.0, NodeState(0, 0, M_CONNECTED).flat(11)
         )
         assert abs(controller.estimates.connect_time_hat - 0.1) < 1e-12
 
@@ -254,21 +254,21 @@ class TestQLearningController:
         controller = QLearningController(NodeConfig(discount=0.0), alpha=1.0, epsilon=0.0)
         s = NodeState(0, 0, M_OFF).flat(11)
         s2 = NodeState(0, 1, M_OFF).flat(11)
-        controller.observe(s, ACTION_ON, 5.0, s2, 0)
+        controller.observe(s, ACTION_ON, 5.0, s2)
         assert controller.q[66 + s] == 5.0
         assert sum(1 for v in controller.q if v != 0.0) == 1
 
     def test_self_loop_converges_to_the_discounted_sum(self):
         controller = QLearningController(NodeConfig(discount=0.9), alpha=0.5, epsilon=0.0)
         s = NodeState(0, 0, M_OFF).flat(11)
-        for frame in range(2000):
-            controller.observe(s, ACTION_ON, 1.0, s, frame)
+        for _ in range(2000):
+            controller.observe(s, ACTION_ON, 1.0, s)
         assert abs(controller.q[66 + s] - 1.0 / (1.0 - 0.9)) < 1e-6
 
     def test_untrained_table_keeps_the_modem_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         for flat in range(66):
-            assert controller.act(flat) == ACTION_OFF
+            assert controller.act(flat, 0) == ACTION_OFF
 
     def test_greedy_matches_the_solver_reduction(self):
         from compactmdp.sparse import greedy_policy
@@ -278,20 +278,20 @@ class TestQLearningController:
         controller.q = rng.normal(size=132).tolist()
         policy = greedy_policy(np.array(controller.q), 66, 2)
         for flat in range(66):
-            assert controller.act(flat) == policy[flat]
+            assert controller.act(flat, 0) == policy[flat]
 
     def test_exact_tie_prefers_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         controller.q[0] = 2.5
         controller.q[66] = 2.5
-        assert controller.act(NodeState(0, 0, M_OFF).flat(11)) == ACTION_OFF
+        assert controller.act(NodeState(0, 0, M_OFF).flat(11), 0) == ACTION_OFF
 
     def test_exploration_is_seed_deterministic(self):
         s = NodeState(0, 0, M_OFF).flat(11)
         runs = []
         for _ in range(2):
             controller = QLearningController(NodeConfig(), epsilon=1.0, seed=11)
-            runs.append([controller.act(s) for _ in range(50)])
+            runs.append([controller.act(s, 0) for _ in range(50)])
         assert runs[0] == runs[1]
         assert set(runs[0]) == {ACTION_OFF, ACTION_ON}
 
@@ -301,23 +301,23 @@ class TestQLearningController:
         )
         s = NodeState(0, 0, M_OFF).flat(11)
         expected = 0.05
-        for frame in range(100):
-            controller.observe(s, ACTION_OFF, 0.0, s, frame)
+        for _ in range(100):
+            controller.observe(s, ACTION_OFF, 0.0, s)
             expected *= 0.999
         assert controller.epsilon == expected
 
     def test_epsilon_decays_by_the_default(self):
         controller = QLearningController(NodeConfig())
         s = NodeState(0, 0, M_OFF).flat(11)
-        controller.observe(s, ACTION_OFF, 0.0, s, 0)
+        controller.observe(s, ACTION_OFF, 0.0, s)
         assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
         assert controller.epsilon == DEFAULT_EPSILON * DEFAULT_EPSILON_DECAY
 
     def test_unit_decay_keeps_epsilon_constant(self):
         controller = QLearningController(NodeConfig(), epsilon_decay=1.0)
         s = NodeState(0, 0, M_OFF).flat(11)
-        for frame in range(10):
-            controller.observe(s, ACTION_OFF, 0.0, s, frame)
+        for _ in range(10):
+            controller.observe(s, ACTION_OFF, 0.0, s)
         assert controller.epsilon == DEFAULT_EPSILON
 
     @pytest.mark.parametrize(
@@ -344,7 +344,7 @@ class PerFrameQLearning(QLearningController):
         super().__init__(*args, **kwargs)
         self.explored = []
 
-    def act(self, s, frame=0):
+    def act(self, s, frame):
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             self.explored.append(frame)
             return int(self.rng.integers(N_ACTIONS))
@@ -367,7 +367,7 @@ def drive(controller, frames, epsilons=None):
         action = controller.act(s, frame)
         actions.append(action)
         states.append(controller.rng.bit_generator.state)
-        controller.observe(s, action, float(s % 7) - 3.0 * action, path[frame + 1], frame)
+        controller.observe(s, action, float(s % 7) - 3.0 * action, path[frame + 1])
     return actions, states
 
 
@@ -431,11 +431,11 @@ class TestBatchedExploration:
         # where the per-frame stream has it.
         assert 0 < explored[0] < explored[1]
         batched.epsilon = reference.epsilon = 1.0
-        assert batched.act(0) == reference.act(0)
+        assert batched.act(0, 0) == reference.act(0, 0)
         assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
-def max_formula_observe(controller, s, action, reward, s_next, frame):
+def max_formula_observe(controller, s, action, reward, s_next):
     """Q-learning's update as ``max()`` and an in-place add wrote it."""
     q = controller.q
     best_next = max(q[s_next], q[controller.n_states + s_next])
@@ -481,7 +481,7 @@ class TestPerFrameUpdatesAreTheirFormulas:
         # +0.0/-0.0.
         values = [-1.5, -0.0, 0.0, 0.25, 2.0]
         ties = signed_ties = 0
-        for frame in range(20000):
+        for _ in range(20000):
             s, s_next = (int(x) for x in rng.integers(n, size=2))
             action = int(rng.integers(2))
             off, on, reward = (values[k] for k in rng.integers(len(values), size=3))
@@ -489,8 +489,8 @@ class TestPerFrameUpdatesAreTheirFormulas:
                 q[s_next], q[n + s_next] = off, on
             ties += off == on
             signed_ties += off == on == 0.0 and str(off) != str(on)
-            got.observe(s, action, reward, s_next, frame)
-            max_formula_observe(want, s, action, reward, s_next, frame)
+            got.observe(s, action, reward, s_next)
+            max_formula_observe(want, s, action, reward, s_next)
         assert ties > 3000 and signed_ties > 1000
         assert np.array_equal(float_bits(got.q), float_bits(want.q))
         assert got.epsilon == want.epsilon
@@ -530,3 +530,24 @@ class TestLearnableParameterCount:
         )
         assert len(QLearningController(config).q) == 3 * 5 * 3 * 2
         assert StructuredController(config).estimates.size == 3 * 3 + 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda config: ThresholdController(config, 3),
+        StructuredController,
+        lambda config: QLearningController(config, epsilon=0.0),
+    ],
+    ids=["on-off", "mdp", "ql"],
+)
+def test_act_and_observe_take_exactly_what_they_read(make):
+    """``act(s, frame)`` has no default frame, with which repeated planner
+    calls would never re-solve, and ``observe`` takes no frame."""
+    controller = make(NodeConfig())
+    with pytest.raises(TypeError):
+        controller.act(0)
+    with pytest.raises(TypeError):
+        controller.observe(0, ACTION_OFF, 0.0, 0, 0)
+    assert controller.act(0, 0) == ACTION_OFF
+    controller.observe(0, ACTION_OFF, 0.0, 0)

@@ -25,6 +25,7 @@ from compactmdp.core import stochastic_problems
 from compactmdp.node import (
     ACTION_OFF,
     ACTION_ON,
+    app_transition_problems,
     floor_frames,
     modem_stm,
     queue_factor,
@@ -129,10 +130,29 @@ class TestAppFactor:
         self.assert_rejected([[bad, bad], [0.5, 0.5]], r"non-finite entries in rows \[0\]")
 
     def test_shared_rule_reports_each_fault(self):
-        assert stochastic_problems(to_sparse(np.eye(2)), "m") == []
-        (message,) = stochastic_problems(to_sparse([[0.5, 0.6], [0.0, 1.0]]), "m")
+        eye = to_sparse(np.eye(2))
+        assert stochastic_problems(eye.row_idx, eye.values, eye.n_rows, "m") == []
+        rows, values = np.array([0, 0, 1, 1]), np.array([0.5, 0.6, 0.0, 1.0])
+        (message,) = stochastic_problems(rows, values, 2, "m")
         assert "m rows [0] do not sum to 1" in message
         assert "row 0 sums to 1.1" in message
+
+    @pytest.mark.parametrize(
+        "sigma",
+        [
+            [[0.0, 1.0], [1.0, -0.0]],
+            [[-0.0, -0.0], [0.5, 0.5]],
+            [[0.7, 0.0, 0.4], [-0.2, 0.0, 1.2], [0.0, 0.0, 0.0]],
+            [[0.3, 0.0, 0.7], [np.nan, 0.0, 1.0], [0.0, -0.5, 1.5]],
+            [[0.1, 0.2, 0.7], [1e-10, 0.0, 1.0], [0.0, 0.0, 1.0 + 2e-9]],
+            [[0.0, -0.0], [-0.0, 0.0]],
+        ],
+    )
+    def test_dense_entries_give_the_messages_of_the_csr(self, sigma):
+        """The nonzero entries of the dense matrix give the CSR's messages, bit for bit."""
+        csr = to_sparse(sigma)
+        want = stochastic_problems(csr.row_idx, csr.values, csr.n_rows, "app_transition")
+        assert app_transition_problems(sigma, len(sigma)) == want
 
 
 def queue_matrices(config, modem_next):

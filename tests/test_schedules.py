@@ -99,7 +99,7 @@ def bad_change_args(draw):
 
 
 class Untouched:
-    def act(self, state, frame=0):
+    def act(self, state, frame):
         raise AssertionError("the run started")
 
 

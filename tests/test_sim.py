@@ -186,10 +186,10 @@ class TestConservationAndDeterminism:
 
     def test_controller_without_config_is_refused_before_it_acts(self):
         class Undeclared:
-            def act(self, state, frame=0):
+            def act(self, state, frame):
                 raise AssertionError("the run started")
 
-            def observe(self, s, action, reward, s_next, frame):
+            def observe(self, s, action, reward, s_next):
                 return None
 
         with pytest.raises(AttributeError, match="config"):
@@ -203,7 +203,7 @@ class RecordingController(ThresholdController):
         super().__init__(config, 3)
         self.rewards = []
 
-    def observe(self, s, action, reward, s_next, frame):
+    def observe(self, s, action, reward, s_next):
         self.rewards.append(reward)
 
 
@@ -326,7 +326,7 @@ def reference_simulate(scenario, controller):
         reward_total += frame_reward
 
         s_next = (app_path[frame + 1] * nq + queue_len) * N_MODEM_STATES + modem
-        observe(s, action, frame_reward, s_next, frame)
+        observe(s, action, frame_reward, s_next)
         s = s_next
 
     # A transaction still open at the end (modem not off) is counted too.
@@ -368,12 +368,12 @@ class RecordingProxy:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def act(self, s, frame=0):
+    def act(self, s, frame):
         return self.inner.act(s, frame)
 
-    def observe(self, s, action, reward, s_next, frame):
-        self.seen.append((s, action, reward, s_next, frame))
-        self.inner.observe(s, action, reward, s_next, frame)
+    def observe(self, s, action, reward, s_next):
+        self.seen.append((s, action, reward, s_next))
+        self.inner.observe(s, action, reward, s_next)
 
 
 #: Nodes whose runs reach every frame outcome the reward table holds: a
@@ -499,7 +499,7 @@ class TestSchedule:
     )
     def test_invalid_change_fails_before_frame_zero(self, change, problem):
         class Untouched:
-            def act(self, state, frame=0):
+            def act(self, state, frame):
                 raise AssertionError("the run started")
 
         with pytest.raises(ValueError, match=f"schedule change at .*{problem}"):
@@ -532,7 +532,7 @@ class TestMakeController:
         state = NodeState(0, 0, 0).flat(11)
         a = make_controller("ql", NodeConfig(), 5.0, seed=0)
         b = make_controller("ql", NodeConfig(), 5.0, seed=0)
-        assert [a.act(state) for _ in range(20)] == [b.act(state) for _ in range(20)]
+        assert [a.act(state, 0) for _ in range(20)] == [b.act(state, 0) for _ in range(20)]
 
     def test_threshold_policy_is_one_action_per_flat_state(self):
         config = NodeConfig(queue_states=4)
@@ -542,7 +542,7 @@ class TestMakeController:
             state = NodeState.from_flat(s, 4)
             on = state.queue >= 2 or (state.modem != 0 and state.queue > 0)
             assert action == int(on)
-            assert controller.act(s) == action
+            assert controller.act(s, 0) == action
 
     def test_threshold_above_capacity_is_refused(self):
         controller = make_controller("on-off", NodeConfig(), 10)
