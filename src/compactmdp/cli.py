@@ -24,7 +24,7 @@ from .controllers import (
     DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_EPSILON_DECAY, DEFAULT_SOLVE_PERIOD,
     QLearningController, StructuredController,
 )
-from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from .core import ConvergenceError
 from .node import (
     ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
 )
@@ -106,7 +106,7 @@ def _cmd_solve(args):
     scenario = load_scenario(args.config)
     node = _tuned_node(scenario.node, args)
     spec = build_mdp(node)
-    result = svi_solve(spec, max_iterations=args.max_iterations)
+    result = svi_solve(spec)
     cost = solve_cost(result)
     sparsity = storage_report(node.n_states, N_ACTIONS, result.k_nz).sparsity
     print(f"states={node.n_states} actions={N_ACTIONS} rows={node.n_states * N_ACTIONS}")
@@ -236,7 +236,6 @@ def build_parser():
     p_solve = sub.add_parser("solve", help="solve the node MDP by sparse value iteration")
     _add_config_arg(p_solve)
     _add_model_args(p_solve)
-    p_solve.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run one controller through a scenario")

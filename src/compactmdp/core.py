@@ -23,6 +23,7 @@ independent oracle for the sparse solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,27 +34,12 @@ from .sparse import SparseMatrixCSR
 #: beyond this are treated as modeling errors, never silently renormalized.
 ROW_SUM_TOLERANCE = 1e-9
 
-#: Hard iteration cap for the solvers.
-DEFAULT_MAX_ITERATIONS = 10**6
+#: Iteration cap of both value-iteration loops.
+MAX_ITERATIONS = 10**6
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when value iteration hits its iteration cap before converging.
-
-    Carries the last iterate so callers can inspect (or keep) partial
-    progress.
-    """
-
-    def __init__(self, message, values, iterations):
-        super().__init__(message)
-        self.values = values
-        self.iterations = iterations
-
-
-def check_max_iterations(max_iterations):
-    """Raise ``ValueError`` unless a solver's iteration cap is at least 1."""
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    """Raised when value iteration reaches :data:`MAX_ITERATIONS` before converging."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +74,8 @@ class MdpSpec:
             raise ValueError("n_states and n_actions must be >= 1")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError(f"discount must be in [0, 1), got {self.discount}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
         rewards = np.array(self.rewards, dtype=float)
         n_rows = self.n_states * self.n_actions
         if rewards.shape != (n_rows,):
@@ -125,7 +111,9 @@ def stochastic_problems(rows, values, n_rows, name):
     row_sums = np.bincount(rows, weights=values, minlength=n_rows)
     off = np.flatnonzero(np.abs(row_sums - 1.0) > ROW_SUM_TOLERANCE)
     if off.size:
-        sums = (f"row {r} sums to {t!r}" for r, t in zip(off.tolist(), row_sums[off].tolist()))
+        # float(): with no stored entries, bincount's sums are int64.
+        sums = (f"row {r} sums to {float(t)!r}"
+                for r, t in zip(off.tolist(), row_sums[off].tolist()))
         messages.append(
             f"{name} rows {off.tolist()} do not sum to 1 within {ROW_SUM_TOLERANCE}: "
             + ", ".join(sums)
@@ -149,7 +137,7 @@ def validate(spec):
         raise ValueError("invalid MDP: " + "; ".join(messages))
 
 
-def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
+def dense_value_iteration(spec):
     """Solve an MDP by dense value iteration.
 
     Starts from the all-zero value function and repeats
@@ -163,9 +151,6 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Parameters
     ----------
     spec : MdpSpec
-    max_iterations : int
-        Hard cap; exceeding it raises :class:`ConvergenceError` with the last
-        iterate attached.
 
     Returns
     -------
@@ -176,18 +161,14 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
 
     Raises
     ------
-    ValueError
-        If ``max_iterations`` is below 1.
     ConvergenceError
-        If the iteration cap is reached first.
+        If :data:`MAX_ITERATIONS` backups do not converge.
     """
-    check_max_iterations(max_iterations)
-
     m = spec.transitions.dense()
     r = spec.rewards
     beta = spec.discount
     v = np.zeros(spec.n_states)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         q_stacked = (r + beta * (m @ v)).reshape(spec.n_actions, spec.n_states)
         v_new = q_stacked.max(axis=0)
         delta = float(np.max(np.abs(v_new - v)))
@@ -195,8 +176,4 @@ def dense_value_iteration(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
         if delta < spec.tolerance:
             policy = q_stacked.argmax(axis=0)
             return v, policy, iteration
-    raise ConvergenceError(
-        f"value iteration did not converge within {max_iterations} iterations",
-        values=v,
-        iterations=max_iterations,
-    )
+    raise ConvergenceError(f"value iteration did not converge within {MAX_ITERATIONS} iterations")

@@ -55,10 +55,15 @@ SUPPLY_VOLTS = 4.0
 _FLOOR_GUARD = 1e-9
 
 
-def floor_frames(seconds, frame_period):
-    """Whole frames contained in ``seconds``, guarded against float dust."""
+def check_frame_period(frame_period):
+    """Raise ``ValueError`` unless ``frame_period`` is finite and > 0."""
     if not 0.0 < frame_period < math.inf:
         raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
+
+
+def floor_frames(seconds, frame_period):
+    """Whole frames contained in ``seconds``, guarded against float dust."""
+    check_frame_period(frame_period)
     if not math.isfinite(seconds):
         raise ValueError(f"duration {seconds} is not finite")
     return int(math.floor(seconds / frame_period + _FLOOR_GUARD))

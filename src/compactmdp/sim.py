@@ -48,6 +48,7 @@ from .node import (
     N_MODEM_STATES,
     SUPPLY_VOLTS,
     NodeConfig,
+    check_frame_period,
     energy_per_transaction,
     floor_frames,
 )
@@ -531,8 +532,7 @@ def average_power(model, update_period=DEFAULT_SOLVE_PERIOD,
     """Average controller power: solver amortized over its period, frame cost
     amortized over the frame, plus the sleep floor.  Both periods must be
     finite and > 0; a frame-only model ignores ``update_period``."""
-    if not 0.0 < frame_period < math.inf:
-        raise ValueError(f"frame_period must be finite and > 0, got {frame_period}")
+    check_frame_period(frame_period)
     solver_power = 0.0
     if model.solver_cost > 0:
         if update_period is None or not 0.0 < update_period < math.inf:
@@ -549,8 +549,10 @@ def crossover_period(a, b, frame_period=NodeConfig.frame_period):
 
     Solves ``average_power(a, T) == average_power(b, T)`` for ``T``.  Returns
     ``None`` when there is no positive crossover (equal solver costs, or the
-    cheaper-solver side is also cheaper per frame).
+    cheaper-solver side is also cheaper per frame).  ``frame_period`` must be
+    finite and > 0, as for :func:`average_power`.
     """
+    check_frame_period(frame_period)
     numerator = a.solver_cost - b.solver_cost
     denominator = (b.frame_cost - a.frame_cost) / frame_period
     if numerator == 0.0 or denominator == 0.0:

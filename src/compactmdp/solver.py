@@ -1,8 +1,8 @@
 """Sparse value iteration.
 
 The :class:`~compactmdp.core.MdpSpec` carries its stacked transition matrix
-in CSR form and is valid by construction, so the solver checks nothing but its
-iteration cap: the fixed-point loop applies the four kernels from
+in CSR form and is valid by construction, so the solver checks nothing: the
+fixed-point loop applies the four kernels from
 :mod:`compactmdp.sparse` to the matrix until the value function stops moving:
 
     T = sparse_mult(M, V)          # expected next-state values, per row
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MAX_ITERATIONS, ConvergenceError, check_max_iterations
+from .core import MAX_ITERATIONS, ConvergenceError
 from .sparse import greedy_policy, inf_norm_diff, max_reduce, saxpy, sparse_mult
 # Rebound by perfbench's tracer only, until ROADMAP item 1; the solver calls none.
 from .core import validate  # noqa: F401
@@ -58,7 +58,7 @@ class CostReport:
     ratio: float
 
 
-def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
+def svi_solve(spec):
     """Solve an MDP by sparse value iteration.
 
     Semantically identical to dense value iteration (same start, same backup,
@@ -68,24 +68,17 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
     Parameters
     ----------
     spec : MdpSpec
-    max_iterations : int
-        Hard cap; exceeding it raises :class:`~compactmdp.core.ConvergenceError`
-        with the last iterate attached.
 
     Raises
     ------
-    ValueError
-        If ``max_iterations`` is below 1.
     ConvergenceError
-        If the iteration cap is reached first.
+        If :data:`~compactmdp.core.MAX_ITERATIONS` backups do not converge.
     """
-    check_max_iterations(max_iterations)
-
     csr = spec.transitions
     rewards = spec.rewards
     beta = spec.discount
     v = np.zeros(spec.n_states)
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         t = sparse_mult(csr, v)
         q = saxpy(beta, t, rewards)
         v_new = max_reduce(q, spec.n_states, spec.n_actions)
@@ -103,9 +96,7 @@ def svi_solve(spec, max_iterations=DEFAULT_MAX_ITERATIONS):
                 k_nz=csr.nnz,
             )
     raise ConvergenceError(
-        f"sparse value iteration did not converge within {max_iterations} iterations",
-        values=v,
-        iterations=max_iterations,
+        f"sparse value iteration did not converge within {MAX_ITERATIONS} iterations"
     )
 
 

@@ -6,9 +6,9 @@ import subprocess
 import pytest
 
 import compactmdp.controllers as controllers
-from compactmdp import sim
+from compactmdp import sim, solver
 from compactmdp.cli import main
-from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from compactmdp.core import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +96,7 @@ class TestSimulate:
 
     def test_planner_run_reports_failed_solves(self, capsys, monkeypatch):
         def boom(spec):
-            raise ConvergenceError("no convergence today", None, DEFAULT_MAX_ITERATIONS)
+            raise ConvergenceError("no convergence today")
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         code, out, _ = run_cli(capsys, "simulate", "--method", "mdp", "--duration", "20")
@@ -322,11 +322,17 @@ class TestErrorHandling:
         assert err.startswith("error:")
         assert "non-finite" in err
 
-    @pytest.mark.parametrize("cap", ["0", "-5"])
-    def test_iteration_cap_below_one_is_a_clean_failure(self, capsys, cap):
-        code, out, err = run_cli(capsys, "solve", "--max-iterations", cap)
+    def test_solve_that_hits_the_iteration_cap_is_a_clean_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 7)
+        code, out, err = run_cli(capsys, "solve")
         assert (code, out) == (1, "")
-        assert err == f"error: max_iterations must be >= 1, got {cap}\n"
+        assert err == "error: sparse value iteration did not converge within 7 iterations\n"
+
+    def test_iteration_cap_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--max-iterations", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-iterations 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("period", ["nan", "inf", "0"])
     def test_bad_update_period_prints_no_power(self, capsys, period):

@@ -26,7 +26,7 @@ from compactmdp.controllers import (
     DEFAULT_EPSILON_DECAY,
     EXPLORATION_BLOCK,
 )
-from compactmdp.core import DEFAULT_MAX_ITERATIONS, ConvergenceError
+from compactmdp.core import ConvergenceError
 from compactmdp.node import N_ACTIONS
 from compactmdp.solver import svi_solve
 
@@ -222,7 +222,7 @@ class TestStructuredController:
         assert controller.solver_failures == 0
 
         def boom(spec):
-            raise ConvergenceError("no convergence today", None, DEFAULT_MAX_ITERATIONS)
+            raise ConvergenceError("no convergence today")
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
         controller.act(s, frame=controller.solve_period_frames)

@@ -1,10 +1,12 @@
 """Core MDP container, its construction checks, and the dense reference solver."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactmdp import MdpSpec, dense_value_iteration, to_sparse
+from compactmdp import MdpSpec, NodeConfig, core, dense_value_iteration, to_sparse
 from compactmdp.core import ConvergenceError, validate
 
 from support import random_mdp
@@ -76,17 +78,11 @@ class TestDenseValueIteration:
         assert_allclose(v1 - v0, shift / (1.0 - spec.discount), atol=1e-4)
         assert np.array_equal(p0, p1)
 
-    def test_iteration_cap_raises_with_last_iterate(self):
-        spec = _chain_mdp()
-        with pytest.raises(ConvergenceError) as excinfo:
-            dense_value_iteration(spec, max_iterations=3)
-        assert excinfo.value.iterations == 3
-        assert excinfo.value.values.shape == (2,)
-
-    @pytest.mark.parametrize("cap", [0, -5])
-    def test_iteration_cap_below_one_is_rejected(self, cap):
-        with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
-            dense_value_iteration(_chain_mdp(), max_iterations=cap)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError,
+                           match=r"^value iteration did not converge within 3 iterations$"):
+            dense_value_iteration(_chain_mdp())
 
     def test_rejects_invalid_rows(self):
         with pytest.raises(ValueError, match="row 0"):
@@ -152,9 +148,14 @@ class TestMdpSpecConstruction:
         with pytest.raises(ValueError):
             MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), discount=-0.1)
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), tolerance=0.0)
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.inf, math.nan])
+    def test_bad_tolerance_rejected(self, tolerance):
+        """The rule and the text of ``NodeConfig``: an infinite tolerance would
+        stop either solver after one backup."""
+        with pytest.raises(ValueError, match=r"^tolerance must be finite and > 0, got"):
+            MdpSpec(1, 1, np.zeros(1), to_sparse(np.ones((1, 1))), tolerance=tolerance)
+        with pytest.raises(ValueError, match=r"tolerance must be finite and > 0, got"):
+            NodeConfig(tolerance=tolerance)
 
     def test_a_built_spec_cannot_be_changed(self):
         """The spec was checked when it was built, so its arrays refuse writes,

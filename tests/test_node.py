@@ -10,6 +10,7 @@ from compactmdp import (
     M_CONNECTED,
     M_CONNECTING,
     M_OFF,
+    MdpSpec,
     NodeConfig,
     NodeState,
     ParameterEstimates,
@@ -136,6 +137,16 @@ class TestAppFactor:
         (message,) = stochastic_problems(rows, values, 2, "m")
         assert "m rows [0] do not sum to 1" in message
         assert "row 0 sums to 1.1" in message
+
+    def test_row_sums_print_as_floats_without_stored_entries(self):
+        """An all-zero matrix stores no entries; its sums still print as ``0.0``,
+        as the sums of a matrix with stored entries do."""
+        zero_sums = r"rows \[0, 1\] do not sum to 1 within 1e-09: row 0 sums to 0\.0, row 1 sums to 0\.0$"
+        with pytest.raises(ValueError, match=r"^invalid MDP: transitions " + zero_sums):
+            MdpSpec(2, 1, np.zeros(2), to_sparse(np.zeros((2, 2))))
+        self.assert_rejected([[0.0, 0.0], [0.0, 0.0]], r"app_transition " + zero_sums)
+        (one_entry,) = stochastic_problems(np.array([1]), np.array([1.0]), 2, "m")
+        assert one_entry.endswith("row 0 sums to 0.0")
 
     @pytest.mark.parametrize(
         "sigma",

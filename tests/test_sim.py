@@ -693,7 +693,7 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             average_power(MCU_QL, frame_period=0.0)
 
-    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -0.1, -1.0])
     def test_periods_must_be_finite_and_positive(self, period):
         """NaN passes a ``<= 0`` test, so a NaN period once gave a NaN power."""
         with pytest.raises(ValueError, match=r"^update_period must be finite and > 0"):
@@ -701,5 +701,7 @@ class TestPowerModel:
         for model in (MCU_SVI, MCU_QL):
             with pytest.raises(ValueError, match=r"^frame_period must be finite and > 0"):
                 average_power(model, update_period=3600.0, frame_period=period)
+        with pytest.raises(ValueError, match=r"^frame_period must be finite and > 0"):
+            crossover_period(MCU_SVI, MCU_QL, frame_period=period)
         # A frame-only model never reads its update period.
         assert average_power(MCU_QL, period) == average_power(MCU_QL, None)

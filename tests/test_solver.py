@@ -190,19 +190,12 @@ def test_rejects_invalid_rows():
         MdpSpec(2, 1, np.zeros(2), to_sparse([[0.6, 0.3], [0.0, 1.0]]))
 
 
-def test_iteration_cap_raises_with_last_iterate():
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_ITERATIONS", 5)
     spec = MdpSpec(1, 1, np.array([1.0]), to_sparse([[1.0]]), discount=0.99)
-    with pytest.raises(ConvergenceError) as excinfo:
-        svi_solve(spec, max_iterations=5)
-    assert excinfo.value.iterations == 5
-    assert excinfo.value.values.shape == (1,)
-
-
-@pytest.mark.parametrize("cap", [0, -5])
-def test_iteration_cap_below_one_is_rejected(cap):
-    spec = MdpSpec(1, 1, np.array([1.0]), to_sparse([[1.0]]))
-    with pytest.raises(ValueError, match=rf"^max_iterations must be >= 1, got {cap}$"):
-        svi_solve(spec, max_iterations=cap)
+    with pytest.raises(ConvergenceError,
+                       match=r"^sparse value iteration did not converge within 5 iterations$"):
+        svi_solve(spec)
 
 
 class TestSolveCost:
