@@ -45,7 +45,6 @@ from .node import (
     energy_per_transaction,
     reward_vector,
     rho_from_connect_time,
-    stm_nonzeros,
 )
 from .sim import (
     MCU_DENSE_VI,
@@ -125,7 +124,6 @@ __all__ = [
     "simulate",
     "solve_cost",
     "sparse_mult",
-    "stm_nonzeros",
     "storage_report",
     "svi_solve",
     "to_sparse",

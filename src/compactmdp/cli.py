@@ -26,7 +26,7 @@ from .controllers import (
 )
 from .core import ConvergenceError
 from .node import (
-    ACTION_ON, N_ACTIONS, N_MODEM_STATES, build_mdp, floor_frames, stm_nonzeros,
+    ACTION_ON, N_ACTIONS, N_MODEM_STATES, assemble_stm, build_mdp, floor_frames,
 )
 from .sim import (
     DEFAULT_SEEDS,
@@ -194,7 +194,7 @@ def _cmd_storage(args):
     print("queue_states,states,nonzeros,dense_bytes,sparse_bytes,qfunction_bytes,sparsity")
     for queue_states in sizes:
         sized = replace(node, queue_states=queue_states)
-        k_nz = stm_nonzeros(sized)
+        k_nz = assemble_stm(sized).nnz
         report = storage_report(sized.n_states, N_ACTIONS, k_nz)
         print(
             f"{queue_states},{sized.n_states},{k_nz},{report.dense_bytes},"

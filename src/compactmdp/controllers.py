@@ -2,11 +2,14 @@
 
 Three policies share one frame-stepped protocol over the flat state index
 ``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
-layout :mod:`compactmdp.node` encodes and decodes): ``act(s, frame)`` returns
-an action, then ``observe(s, action, reward, s_next)`` learns from the
-frame's outcome.  Every controller is built from, and keeps, the (valid by
-construction) ``config`` it plans for and reads every model number (layout,
-frame period, discount, the planner's priors) off it;
+layout :mod:`compactmdp.node` encodes and decodes): ``act(s)`` returns an
+action, then ``observe(s, action, reward, s_next)`` learns from the frame's
+outcome.  Neither takes the frame number, which no controller reads.  A
+controller keeps its state across runs: the Q-table and epsilon, the
+planner's estimates and its re-solve clock (it counts its own ``act`` calls)
+go on where the previous run left them.  Every controller is built from, and
+keeps, the (valid by construction) ``config`` it plans for and reads every
+model number (layout, frame period, discount, the planner's priors) off it;
 :func:`compactmdp.sim.simulate` reads that config off every controller, checks
 its layout and frame period against the scenario's before frame 0, and rewards
 every frame by its ``reward_weights``, the objective the controller optimises.
@@ -23,6 +26,8 @@ A constructor checks only its own parameters.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,6 +145,9 @@ class ThresholdController:
     """
 
     def __init__(self, config, queue_threshold):
+        if not float(queue_threshold).is_integer():
+            raise ValueError(f"queue_threshold must be a whole number, got {queue_threshold}")
+        queue_threshold = int(queue_threshold)
         if queue_threshold < 1:
             raise ValueError(f"queue_threshold must be >= 1, got {queue_threshold}")
         if queue_threshold > config.capacity:
@@ -158,7 +166,7 @@ class ThresholdController:
             for modem in range(N_MODEM_STATES)
         ]
 
-    def act(self, s, frame):
+    def act(self, s):
         return self.policy[s]
 
     def observe(self, s, action, reward, s_next):
@@ -168,16 +176,20 @@ class ThresholdController:
 class StructuredController:
     """Model-learning controller: estimate the free parameters, re-solve, look up.
 
-    Between solves the controller is a pure table lookup.  On a fixed period
-    (including frame 0, using the design-time priors) it rebuilds the MDP from
-    the current estimates and runs sparse value iteration.  If a solve fails
-    (``ValueError`` from the model build, ``ConvergenceError`` from the
+    Between solves the controller is a pure table lookup.  It counts its own
+    ``act`` calls, across runs: on the first (using the design-time priors)
+    and on every ``solve_period_frames``-th call after it, it rebuilds the MDP
+    from the current estimates and runs sparse value iteration.  If a solve
+    fails (``ValueError`` from the model build, ``ConvergenceError`` from the
     solver) the previous policy stays in force and ``solver_failures`` counts
-    it; any other exception propagates.  ``solve_count`` counts the solves
-    that succeeded.
+    it; any other exception propagates and leaves the clock where it was, so
+    the next ``act`` tries the solve again.  ``solve_count`` and
+    ``total_kernel_ops`` are running totals over the solves that succeeded.
     """
 
     def __init__(self, config, solve_period=DEFAULT_SOLVE_PERIOD, alpha=DEFAULT_ALPHA):
+        if not 0.0 < solve_period < math.inf:
+            raise ValueError(f"solve_period must be finite and > 0, got {solve_period}")
         self.config = config
         self.solve_period_frames = floor_frames(solve_period, config.frame_period)
         if self.solve_period_frames < 1:
@@ -189,7 +201,8 @@ class StructuredController:
         self.total_kernel_ops = 0
         self.solver_failures = 0
         self._mode_stride = config.queue_states * N_MODEM_STATES
-        self._next_solve_frame = 0
+        # Acts left before the next re-solve; 0 re-solves on the next act.
+        self._acts_to_solve = 0
         self._connecting_frames = 0
 
     def resolve_policy(self):
@@ -208,10 +221,12 @@ class StructuredController:
         self.solve_count += 1
         self.total_kernel_ops += result.kernel_op_count
 
-    def act(self, s, frame):
-        if frame >= self._next_solve_frame:
+    def act(self, s):
+        left = self._acts_to_solve
+        if not left:
             self.resolve_policy()
-            self._next_solve_frame = frame + self.solve_period_frames
+            left = self.solve_period_frames
+        self._acts_to_solve = left - 1
         return self.policy[s]
 
     def observe(self, s, action, reward, s_next):
@@ -269,7 +284,7 @@ class QLearningController:
         self._uniforms = []
         self._block_state = None
 
-    def act(self, s, frame):
+    def act(self, s):
         epsilon = self.epsilon
         if epsilon > 0.0:
             uniforms = self._uniforms or self._draw_block()

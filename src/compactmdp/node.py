@@ -378,8 +378,3 @@ def build_mdp(config, sigma=None, rho=None):
         discount=config.discount,
         tolerance=config.tolerance,
     )
-
-
-def stm_nonzeros(config):
-    """Number of nonzero entries in the node's stacked transition matrix."""
-    return assemble_stm(config).nnz

@@ -242,7 +242,11 @@ def simulate(scenario, controller):
     and every later run of the same scenario reuses it; the frame loop then
     walks it by iteration, only steps the modem and the queue, and calls the
     controller's ``act`` and ``observe`` once each, with flat state indices
-    (both looked up on the controller when the run starts).  The ``config``
+    (both looked up on the controller when the run starts); ``act`` gets the
+    state alone.  A controller keeps its state across runs (Q-table and
+    epsilon, the planner's estimates and re-solve clock), so a second run
+    goes on where the first stopped; ``solver_invocations`` and
+    ``solver_kernel_ops`` count only this run's solves.  The ``config``
     the controller was built for must match the scenario's app modes, queue
     levels and frame period, and each frame's reward (passed to ``observe``
     and summed in ``reward_total``) uses that config's ``reward_weights``.
@@ -290,6 +294,9 @@ def simulate(scenario, controller):
     # the class's methods made before the run sees every call.
     act = controller.act
     observe = controller.observe
+    # The planner's totals run across runs; this run reports its own share.
+    solves_before = getattr(controller, "solve_count", 0)
+    kernel_ops_before = getattr(controller, "total_kernel_ops", 0)
     on, off, connecting, connected = ACTION_ON, M_OFF, M_CONNECTING, M_CONNECTED
     stride = N_MODEM_STATES
 
@@ -308,7 +315,7 @@ def simulate(scenario, controller):
     reward_total = 0.0
 
     for frame, arrived, app in zip(range(frames), arrivals, app_path[1:]):
-        action = act(s, frame)
+        action = act(s)
 
         # Modem first: the frame is spent in the state being entered.
         if action == on:
@@ -381,8 +388,8 @@ def simulate(scenario, controller):
         transactions=transactions,
         modem_current_energy=current_energy,
         reward_total=reward_total,
-        solver_invocations=getattr(controller, "solve_count", 0),
-        solver_kernel_ops=getattr(controller, "total_kernel_ops", 0),
+        solver_invocations=getattr(controller, "solve_count", 0) - solves_before,
+        solver_kernel_ops=getattr(controller, "total_kernel_ops", 0) - kernel_ops_before,
     )
 
 
@@ -392,13 +399,14 @@ def make_controller(series, config, value, seed=None, alpha=DEFAULT_ALPHA,
     """Build the controller for one sweep point.
 
     ``series`` follows :data:`SERIES_LABELS`: ``"on-off"`` takes a queue
-    threshold, ``"mdp"`` and ``"ql"`` take the reward-per-packet weight (the
-    config's middle reward weight is replaced by ``value``).  The tuned node
-    is the controller's ``config``, whose weights :func:`simulate` rewards
-    by.  Both learning controllers discount by the config's ``discount``.
+    threshold (a whole number; 3.0 is 3, 2.5 is refused), ``"mdp"`` and
+    ``"ql"`` take the reward-per-packet weight (the config's middle reward
+    weight is replaced by ``value``).  The tuned node is the controller's
+    ``config``, whose weights :func:`simulate` rewards by.  Both learning
+    controllers discount by the config's ``discount``.
     """
     if series == "on-off":
-        return ThresholdController(config, int(value))
+        return ThresholdController(config, value)
     w1, _, w3 = config.reward_weights
     tuned = replace(config, reward_weights=(w1, float(value), w3))
     if series == "mdp":

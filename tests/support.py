@@ -76,7 +76,7 @@ class AlwaysOnController:
     def __init__(self, config):
         self.config = config
 
-    def act(self, state, frame):
+    def act(self, state):
         return ACTION_ON
 
     def observe(self, prev_state, action, reward, next_state):

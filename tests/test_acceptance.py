@@ -33,7 +33,6 @@ from compactmdp import (
     load_scenario,
     pareto_sweep,
     simulate,
-    stm_nonzeros,
     storage_report,
     svi_solve,
 )
@@ -86,9 +85,8 @@ def test_criterion_02_transition_matrix_sparsity():
     with Criterion(2, "transition-matrix sparsity") as c:
         t0 = time.perf_counter()
         default = NodeConfig()
-        k_nz = stm_nonzeros(default)
-        assert k_nz == 444
         stacked = assemble_stm(default)
+        assert stacked.nnz == 444
         sparsity = 1.0 - stacked.nnz / (stacked.n_rows * stacked.n_cols)
         assert sparsity >= 0.90
         perturbed = [
@@ -97,7 +95,7 @@ def test_criterion_02_transition_matrix_sparsity():
             replace(default, connect_time=3.7),
             replace(default, tx_per_frame=1),
         ]
-        counts = [stm_nonzeros(cfg) for cfg in perturbed]
+        counts = [assemble_stm(cfg).nnz for cfg in perturbed]
         for count, cfg in zip(counts, perturbed):
             assert abs(count - 444) <= 0.15 * 444
             dense_cells = cfg.n_states**2 * 2

@@ -303,6 +303,15 @@ class TestErrorHandling:
         assert line.startswith("error: line 2: ")
         assert problem in line
 
+    @pytest.mark.parametrize("period", ["nan", "inf", "0", "-5"])
+    def test_bad_solve_period_is_named_as_one(self, capsys, period):
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", "mdp", "--duration", "10",
+            "--solve-period", period,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: solve_period must be finite and > 0, got {float(period)}\n"
+
     def test_negative_seed_option_names_the_seed(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--method", "on-off", "--duration", "10", "--seed", "-1"

@@ -1,5 +1,7 @@
 """Controllers: TD estimation, threshold rule, structured learner, Q-learning."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -124,17 +126,27 @@ class TestThresholdController:
     )
     def test_rule_table(self, queue, modem, expected):
         controller = ThresholdController(NodeConfig(), queue_threshold=3)
-        assert controller.act(NodeState(0, queue, modem).flat(11), 0) == expected
+        assert controller.act(NodeState(0, queue, modem).flat(11)) == expected
 
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError):
             ThresholdController(NodeConfig(), queue_threshold=0)
 
+    @pytest.mark.parametrize("threshold", [2.5, 2.9, math.nan, math.inf])
+    def test_rejects_a_fractional_threshold(self, threshold):
+        with pytest.raises(ValueError, match=f"whole number, got {threshold}$"):
+            ThresholdController(NodeConfig(), queue_threshold=threshold)
+
+    def test_integral_float_threshold_is_that_integer(self):
+        controller = ThresholdController(NodeConfig(), queue_threshold=3.0)
+        assert type(controller.queue_threshold) is int
+        assert controller.policy == ThresholdController(NodeConfig(), 3).policy
+
     def test_observe_is_a_no_op(self):
         controller = ThresholdController(NodeConfig(), queue_threshold=1)
         s = NodeState(0, 0, M_OFF).flat(11)
         controller.observe(s, ACTION_OFF, 0.0, s)
-        assert controller.act(s, 0) == ACTION_OFF
+        assert controller.act(s) == ACTION_OFF
 
 
 class TestStructuredController:
@@ -146,7 +158,7 @@ class TestStructuredController:
     def test_first_act_solves_from_the_priors(self):
         config = NodeConfig()
         controller = StructuredController(config)
-        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11))
         assert controller.solve_count == 1
         reference = svi_solve(build_mdp(config))
         assert controller.policy == reference.policy.tolist()
@@ -154,14 +166,14 @@ class TestStructuredController:
 
     def test_acting_between_solves_is_pure_lookup(self):
         controller = StructuredController(NodeConfig())
-        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11))
         before = (
             controller.estimates.sigma_hat.copy(),
             controller.estimates.connect_time_hat,
             list(controller.policy),
         )
         for flat in range(66):
-            controller.act(flat, frame=5)
+            controller.act(flat)
         assert controller.solve_count == 1
         assert_allclose(controller.estimates.sigma_hat, before[0])
         assert controller.estimates.connect_time_hat == before[1]
@@ -170,21 +182,21 @@ class TestStructuredController:
     def test_resolving_with_unchanged_estimates_is_stationary(self):
         controller = StructuredController(NodeConfig(), solve_period=1.0)
         s = NodeState(0, 0, M_OFF).flat(11)
-        controller.act(s, frame=0)
+        controller.act(s)
         first = list(controller.policy)
-        controller.act(s, frame=controller.solve_period_frames)
+        for _ in range(controller.solve_period_frames):
+            controller.act(s)
         assert controller.solve_count == 2
         assert controller.policy == first
 
     def test_worse_attach_estimate_changes_the_policy(self):
         config = NodeConfig()
         controller = StructuredController(config, alpha=1.0)
-        controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
+        controller.act(NodeState(0, 0, M_OFF).flat(11))
         baseline = list(controller.policy)
         controller.estimates.observe_connect_time(2 * config.connect_time)
-        controller.act(
-            NodeState(0, 0, M_OFF).flat(11), frame=controller.solve_period_frames
-        )
+        for _ in range(controller.solve_period_frames):
+            controller.act(NodeState(0, 0, M_OFF).flat(11))
         assert controller.solve_count == 2
         assert controller.policy != baseline
 
@@ -217,7 +229,7 @@ class TestStructuredController:
     def test_solver_failure_keeps_last_good_policy(self, monkeypatch):
         controller = StructuredController(NodeConfig(), solve_period=1.0)
         s = NodeState(0, 0, M_OFF).flat(11)
-        controller.act(s, frame=0)
+        controller.act(s)
         good = list(controller.policy)
         assert controller.solver_failures == 0
 
@@ -225,11 +237,13 @@ class TestStructuredController:
             raise ConvergenceError("no convergence today")
 
         monkeypatch.setattr(controllers, "svi_solve", boom)
-        controller.act(s, frame=controller.solve_period_frames)
+        for _ in range(controller.solve_period_frames):
+            controller.act(s)
         assert controller.solver_failures == 1
         assert controller.policy == good
         assert controller.solve_count == 1
-        controller.act(s, frame=2 * controller.solve_period_frames)
+        for _ in range(controller.solve_period_frames):
+            controller.act(s)
         assert controller.solver_failures == 2
         assert controller.solve_count == 1
 
@@ -241,8 +255,18 @@ class TestStructuredController:
 
         monkeypatch.setattr(controllers, "svi_solve", bug)
         with pytest.raises(TypeError):
-            controller.act(NodeState(0, 0, M_OFF).flat(11), frame=0)
+            controller.act(NodeState(0, 0, M_OFF).flat(11))
         assert controller.solver_failures == 0
+        # The error left the clock where it was: the next act solves.
+        monkeypatch.undo()
+        controller.act(NodeState(0, 0, M_OFF).flat(11))
+        assert controller.solve_count == 1
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_solve_period(self, period):
+        message = f"^solve_period must be finite and > 0, got {period}$"
+        with pytest.raises(ValueError, match=message):
+            StructuredController(NodeConfig(), solve_period=period)
 
     def test_rejects_sub_frame_solve_period(self):
         with pytest.raises(ValueError):
@@ -268,7 +292,7 @@ class TestQLearningController:
     def test_untrained_table_keeps_the_modem_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         for flat in range(66):
-            assert controller.act(flat, 0) == ACTION_OFF
+            assert controller.act(flat) == ACTION_OFF
 
     def test_greedy_matches_the_solver_reduction(self):
         from compactmdp.sparse import greedy_policy
@@ -278,20 +302,20 @@ class TestQLearningController:
         controller.q = rng.normal(size=132).tolist()
         policy = greedy_policy(np.array(controller.q), 66, 2)
         for flat in range(66):
-            assert controller.act(flat, 0) == policy[flat]
+            assert controller.act(flat) == policy[flat]
 
     def test_exact_tie_prefers_off(self):
         controller = QLearningController(NodeConfig(), epsilon=0.0)
         controller.q[0] = 2.5
         controller.q[66] = 2.5
-        assert controller.act(NodeState(0, 0, M_OFF).flat(11), 0) == ACTION_OFF
+        assert controller.act(NodeState(0, 0, M_OFF).flat(11)) == ACTION_OFF
 
     def test_exploration_is_seed_deterministic(self):
         s = NodeState(0, 0, M_OFF).flat(11)
         runs = []
         for _ in range(2):
             controller = QLearningController(NodeConfig(), epsilon=1.0, seed=11)
-            runs.append([controller.act(s, 0) for _ in range(50)])
+            runs.append([controller.act(s) for _ in range(50)])
         assert runs[0] == runs[1]
         assert set(runs[0]) == {ACTION_OFF, ACTION_ON}
 
@@ -338,13 +362,17 @@ class TestQLearningController:
 
 class PerFrameQLearning(QLearningController):
     """The reference stream: one ``rng.random()`` per frame, then
-    ``rng.integers(2)`` when it explores.  ``explored`` lists those frames."""
+    ``rng.integers(2)`` when it explores.  ``explored`` lists those frames,
+    counted in ``act`` calls from the first."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.explored = []
+        self.acts = 0
 
-    def act(self, s, frame):
+    def act(self, s):
+        frame = self.acts
+        self.acts += 1
         if self.epsilon > 0.0 and self.rng.random() < self.epsilon:
             self.explored.append(frame)
             return int(self.rng.integers(N_ACTIONS))
@@ -364,7 +392,7 @@ def drive(controller, frames, epsilons=None):
         if epsilons is not None:
             controller.epsilon = epsilons[frame]
         s = path[frame]
-        action = controller.act(s, frame)
+        action = controller.act(s)
         actions.append(action)
         states.append(controller.rng.bit_generator.state)
         controller.observe(s, action, float(s % 7) - 3.0 * action, path[frame + 1])
@@ -431,7 +459,7 @@ class TestBatchedExploration:
         # where the per-frame stream has it.
         assert 0 < explored[0] < explored[1]
         batched.epsilon = reference.epsilon = 1.0
-        assert batched.act(0, 0) == reference.act(0, 0)
+        assert batched.act(0) == reference.act(0)
         assert batched.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
@@ -542,12 +570,12 @@ class TestLearnableParameterCount:
     ids=["on-off", "mdp", "ql"],
 )
 def test_act_and_observe_take_exactly_what_they_read(make):
-    """``act(s, frame)`` has no default frame, with which repeated planner
-    calls would never re-solve, and ``observe`` takes no frame."""
+    """``act`` takes the state alone: no controller reads the frame (the
+    planner counts its own calls), and ``observe`` takes no frame either."""
     controller = make(NodeConfig())
     with pytest.raises(TypeError):
-        controller.act(0)
+        controller.act(0, 0)
     with pytest.raises(TypeError):
         controller.observe(0, ACTION_OFF, 0.0, 0, 0)
-    assert controller.act(0, 0) == ACTION_OFF
+    assert controller.act(0) == ACTION_OFF
     controller.observe(0, ACTION_OFF, 0.0, 0)

@@ -19,7 +19,6 @@ from compactmdp import (
     energy_per_transaction,
     reward_vector,
     rho_from_connect_time,
-    stm_nonzeros,
     to_sparse,
 )
 from compactmdp.core import stochastic_problems
@@ -208,7 +207,6 @@ class TestAssembly:
         stacked = assemble_stm(NodeConfig())
         assert (stacked.n_rows, stacked.n_cols) == (132, 66)
         assert stacked.nnz == np.count_nonzero(stacked.values) == 444
-        assert stm_nonzeros(NodeConfig()) == 444
 
     def test_rows_sum_to_one(self):
         stacked = assemble_stm(NodeConfig()).dense()

@@ -99,7 +99,7 @@ def bad_change_args(draw):
 
 
 class Untouched:
-    def act(self, state, frame):
+    def act(self, state):
         raise AssertionError("the run started")
 
 

@@ -30,7 +30,7 @@ from compactmdp import (
     simulate,
     write_sweep_csv,
 )
-from compactmdp import sim
+from compactmdp import controllers, sim
 from compactmdp.controllers import DEFAULT_EPSILON_DECAY
 from compactmdp.node import (
     ACTION_ON,
@@ -186,7 +186,7 @@ class TestConservationAndDeterminism:
 
     def test_controller_without_config_is_refused_before_it_acts(self):
         class Undeclared:
-            def act(self, state, frame):
+            def act(self, state):
                 raise AssertionError("the run started")
 
             def observe(self, s, action, reward, s_next):
@@ -194,6 +194,49 @@ class TestConservationAndDeterminism:
 
         with pytest.raises(AttributeError, match="config"):
             run(Undeclared(), frames=100)
+
+
+class TestReusedController:
+    """A controller keeps its state across runs; each run reports its own."""
+
+    def test_a_reused_planner_keeps_its_re_solve_clock(self, monkeypatch):
+        """Hourly at 0.1 s frames, a planner run twice for 75 000 frames
+        re-solves on its acts 0, 36 000 and 72 000, then on 108 000 and
+        144 000 (frames 33 000 and 69 000 of the second run)."""
+        scenario = Scenario(duration_frames=75000)
+        controller = StructuredController(scenario.node)
+        acts = {"count": 0}
+        solved_on = []
+        kernel_ops = []
+        act = StructuredController.act
+        resolve_policy = StructuredController.resolve_policy
+        svi_solve = controllers.svi_solve
+
+        def counted_act(self, *args):
+            acts["count"] += 1
+            return act(self, *args)
+
+        def counted_resolve(self, *args):
+            solved_on.append(acts["count"] - 1)
+            return resolve_policy(self, *args)
+
+        def kept_solve(spec):
+            result = svi_solve(spec)
+            kernel_ops.append(result.kernel_op_count)
+            return result
+
+        monkeypatch.setattr(StructuredController, "act", counted_act)
+        monkeypatch.setattr(StructuredController, "resolve_policy", counted_resolve)
+        monkeypatch.setattr(controllers, "svi_solve", kept_solve)
+        first = simulate(scenario, controller)
+        assert solved_on == [0, 36000, 72000]
+        second = simulate(scenario, controller)
+        assert solved_on == [0, 36000, 72000, 108000, 144000]
+        assert (first.solver_invocations, second.solver_invocations) == (3, 2)
+        assert first.solver_kernel_ops == sum(kernel_ops[:3])
+        assert second.solver_kernel_ops == sum(kernel_ops[3:]) > 0
+        assert controller.solve_count == 5
+        assert controller.total_kernel_ops == sum(kernel_ops)
 
 
 class RecordingController(ThresholdController):
@@ -267,6 +310,8 @@ def reference_simulate(scenario, controller):
     attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
     act = controller.act
     observe = controller.observe
+    solves_before = getattr(controller, "solve_count", 0)
+    kernel_ops_before = getattr(controller, "total_kernel_ops", 0)
 
     queue_len = 0
     modem = M_OFF
@@ -283,7 +328,7 @@ def reference_simulate(scenario, controller):
     reward_total = 0.0
 
     for frame in range(frames):
-        action = act(s, frame)
+        action = act(s)
 
         # Modem first: the frame is spent in the state being entered.
         if action == ACTION_ON:
@@ -352,8 +397,8 @@ def reference_simulate(scenario, controller):
         transactions=transactions,
         modem_current_energy=current_energy,
         reward_total=reward_total,
-        solver_invocations=getattr(controller, "solve_count", 0),
-        solver_kernel_ops=getattr(controller, "total_kernel_ops", 0),
+        solver_invocations=getattr(controller, "solve_count", 0) - solves_before,
+        solver_kernel_ops=getattr(controller, "total_kernel_ops", 0) - kernel_ops_before,
     )
 
 
@@ -368,8 +413,8 @@ class RecordingProxy:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def act(self, s, frame):
-        return self.inner.act(s, frame)
+    def act(self, s):
+        return self.inner.act(s)
 
     def observe(self, s, action, reward, s_next):
         self.seen.append((s, action, reward, s_next))
@@ -499,7 +544,7 @@ class TestSchedule:
     )
     def test_invalid_change_fails_before_frame_zero(self, change, problem):
         class Untouched:
-            def act(self, state, frame):
+            def act(self, state):
                 raise AssertionError("the run started")
 
         with pytest.raises(ValueError, match=f"schedule change at .*{problem}"):
@@ -532,7 +577,7 @@ class TestMakeController:
         state = NodeState(0, 0, 0).flat(11)
         a = make_controller("ql", NodeConfig(), 5.0, seed=0)
         b = make_controller("ql", NodeConfig(), 5.0, seed=0)
-        assert [a.act(state, 0) for _ in range(20)] == [b.act(state, 0) for _ in range(20)]
+        assert [a.act(state) for _ in range(20)] == [b.act(state) for _ in range(20)]
 
     def test_threshold_policy_is_one_action_per_flat_state(self):
         config = NodeConfig(queue_states=4)
@@ -542,7 +587,7 @@ class TestMakeController:
             state = NodeState.from_flat(s, 4)
             on = state.queue >= 2 or (state.modem != 0 and state.queue > 0)
             assert action == int(on)
-            assert controller.act(s, 0) == action
+            assert controller.act(s) == action
 
     def test_threshold_above_capacity_is_refused(self):
         controller = make_controller("on-off", NodeConfig(), 10)
@@ -596,6 +641,17 @@ class TestSweep:
             pareto_sweep(
                 Scenario(duration_frames=500), series=("mdp", "on-off"),
                 r2_values=[5.0], nq_values=[3, 20], seeds=(0, 1),
+            )
+
+    def test_fractional_threshold_fails_before_any_run(self, monkeypatch):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        with pytest.raises(ValueError, match="queue_threshold must be a whole number, got 2.5$"):
+            pareto_sweep(
+                Scenario(duration_frames=500), series=("on-off",),
+                nq_values=(2, 2.5), seeds=(0,),
             )
 
     def test_csv_round_trip(self, tiny_points):
