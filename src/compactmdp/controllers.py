@@ -27,7 +27,10 @@ A constructor checks only its own parameters.
 
 from __future__ import annotations
 
+import functools
 import math
+import zlib
+from array import array
 
 import numpy as np
 
@@ -64,6 +67,57 @@ EXPLORATION_BLOCK = 128
 DEFAULT_EPSILON_DECAY = 0.9999
 
 
+#: Folds of logged app-mode transitions :func:`fold_transitions` keeps for
+#: reuse.  A default sweep at one seed re-solves hourly for 27 000 s, so its
+#: planners need 7 folds, one per solve after the first.
+FOLD_CACHE_SIZE = 8
+
+
+def _transition_typecode(n_modes):
+    """The ``array`` typecode of a transition code ``prev * n_modes + next``."""
+    return "B" if n_modes <= 16 else "L"
+
+
+@functools.lru_cache(maxsize=FOLD_CACHE_SIZE)
+def fold_transitions(rows, alpha, codes):
+    """The app-mode rows after blending in the logged transitions, in order.
+
+    ``rows`` is the row-major ``(n, n)`` matrix as the bytes of its float64s,
+    ``codes`` the zlib-compressed bytes of an ``array`` of transition codes
+    ``prev * n + next``; the result is new rows, as bytes.  Each transition
+    scales its row by ``1 - alpha``, adds ``alpha`` to the observed
+    successor's entry and sums the row, then divides it by the total.  The
+    total is summed left to right, which for rows of fewer than 8 modes is
+    bitwise numpy's ``row.sum()`` (numpy sums longer rows pairwise).  The
+    builtin ``sum`` compensates from Python 3.12 on, so it would change the
+    bits.
+
+    The fold is a pure function of its arguments' bytes, so planners that
+    observe one app-mode path, such as a sweep's points at one seed, share
+    it through the cache.  Keying on bytes keeps ``-0.0`` and ``0.0`` apart.
+    A path stays in one app mode for long runs, so its codes compress well:
+    an hour of the default scenario's, 36 000 bytes, to 1.7-2.8 kB.  That
+    keeps the cached keys small.
+    """
+    n = math.isqrt(len(rows) // 8)
+    flat = array("d", rows).tolist()
+    matrix = [flat[i * n:(i + 1) * n] for i in range(n)]
+    steps = [(matrix[code // n], code % n) for code in range(n * n)]
+    keep = 1.0 - alpha
+    for code in array(_transition_typecode(n), zlib.decompress(codes)):
+        row, next_mode = steps[code]
+        total = 0.0
+        for j, p in enumerate(row):
+            p *= keep
+            if j == next_mode:
+                p += alpha
+            row[j] = p
+            total += p
+        for j, p in enumerate(row):
+            row[j] = p / total
+    return array("d", [p for row in matrix for p in row]).tobytes()
+
+
 class ParameterEstimates:
     """Runtime estimates of the learnable transition-model parameters.
 
@@ -78,14 +132,19 @@ class ParameterEstimates:
     duration; only ``alpha`` is checked here, and it is fixed from then on:
     its complement ``1 - alpha`` is taken once.
 
-    The matrix is kept as rows of Python floats, so the per-frame update is
-    scalar arithmetic; ``sigma_hat`` returns it as a fresh ``(n, n)`` array.
+    An observed app-mode transition is only logged, as one small integer;
+    :meth:`fold` blends the log into the matrix with
+    :func:`fold_transitions`, which gives the bits of one blend per frame.
+    The planner folds before each solve, and ``sigma_hat`` folds before it
+    reads, returning a fresh ``(n, n)`` array.
     """
 
     def __init__(self, config, alpha=DEFAULT_ALPHA):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self._rows = np.asarray(config.app_transition, dtype=float).tolist()
+        self.n_modes = config.n_app_modes
+        self._rows = np.asarray(config.app_transition, dtype=float).tobytes()
+        self._transitions = array(_transition_typecode(self.n_modes))
         self.connect_time_hat = config.connect_time
         self.alpha = alpha
         self._keep = 1.0 - alpha
@@ -93,35 +152,27 @@ class ParameterEstimates:
 
     @property
     def sigma_hat(self):
-        """The app-mode transition estimate, as a new ``(n, n)`` array."""
-        return np.array(self._rows)
+        """The app-mode transition estimate, every logged transition folded
+        in, as a new ``(n, n)`` array."""
+        self.fold()
+        return np.frombuffer(self._rows).reshape(self.n_modes, self.n_modes).copy()
 
     @property
     def size(self):
         """Number of learned scalars: every sigma entry plus the attach delay."""
-        return len(self._rows) ** 2 + 1
+        return self.n_modes ** 2 + 1
 
     def observe_app_transition(self, prev_mode, next_mode):
-        """Blend the observed one-hot transition into ``sigma_hat``'s row.
+        """Log one observed app-mode transition for the next :meth:`fold`."""
+        self._transitions.append(prev_mode * self.n_modes + next_mode)
 
-        One pass scales each entry by ``1 - alpha``, adds ``alpha`` to the
-        observed successor's entry and sums the row; a second divides by the
-        total.  The total is summed left to right, which for rows of fewer
-        than 8 modes is bitwise numpy's ``row.sum()`` (numpy sums longer rows
-        pairwise).  The builtin ``sum`` compensates from Python 3.12 on, so
-        it would change the bits.
-        """
-        keep = self._keep
-        row = self._rows[prev_mode]
-        total = 0.0
-        for j, p in enumerate(row):
-            p *= keep
-            if j == next_mode:
-                p += self.alpha
-            row[j] = p
-            total += p
-        for j, p in enumerate(row):
-            row[j] = p / total
+    def fold(self):
+        """Blend the logged transitions into ``sigma_hat``, in order, and
+        clear the log."""
+        if self._transitions:
+            codes = zlib.compress(self._transitions, 1)
+            self._rows = fold_transitions(self._rows, self.alpha, codes)
+            del self._transitions[:]
 
     def observe_connect_time(self, seconds):
         """Blend one measured attach duration into ``connect_time_hat``."""
@@ -178,12 +229,13 @@ class StructuredController:
 
     Between solves the controller is a pure table lookup.  It counts its own
     ``act`` calls, across runs: on the first (using the design-time priors)
-    and on every ``solve_period_frames``-th call after it, it rebuilds the MDP
-    from the current estimates and runs sparse value iteration.  If a solve
-    fails (``ValueError`` from the model build, ``ConvergenceError`` from the
-    solver) the previous policy stays in force and ``solver_failures`` counts
-    it; any other exception propagates and leaves the clock where it was, so
-    the next ``act`` tries the solve again.  ``solve_count`` and
+    and on every ``solve_period_frames``-th call after it, it folds the
+    app-mode transitions ``observe`` logged into its estimates, rebuilds the
+    MDP from them and runs sparse value iteration.  If a solve fails
+    (``ValueError`` from the model build, ``ConvergenceError`` from the solver)
+    the previous policy stays in force and ``solver_failures`` counts it; any
+    other exception propagates and leaves the clock where it was, so the next
+    ``act`` tries the solve again.  ``solve_count`` and
     ``total_kernel_ops`` are running totals over the solves that succeeded.
     """
 
@@ -224,6 +276,8 @@ class StructuredController:
     def act(self, s):
         left = self._acts_to_solve
         if not left:
+            # Folded here, so that a solve's time is the build and the solve.
+            self.estimates.fold()
             self.resolve_policy()
             left = self.solve_period_frames
         self._acts_to_solve = left - 1

@@ -459,7 +459,9 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
     The learning controllers sweep the reward-per-packet weight; the threshold
     rule sweeps its queue threshold.  Every point's controllers, one per seed,
     are built before the first run, so a bad grid value fails before any
-    simulation.  Returns the :class:`SweepPoint` list, series by series.
+    simulation.  The runs go seed by seed, every point at one seed before the
+    next seed; each point's means take its runs in seed order.  Returns the
+    :class:`SweepPoint` list, series by series.
     """
     if len(seeds) < 1:
         raise ValueError("a sweep needs at least one seed")
@@ -472,11 +474,16 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
         for label in series
         for value in (nq_values if label == "on-off" else r2_values)
     ]
+    # Seed by seed: the planners at one seed observe one app-mode path, so
+    # they share its estimate folds while the fold cache still holds them.
+    runs = [
+        [simulate(seeded, controllers[i]) for _, _, controllers in grid]
+        for i, seeded in enumerate(scenarios)
+    ]
     points = []
-    for label, value, controllers in grid:
-        runs = [simulate(s, c) for s, c in zip(scenarios, controllers)]
+    for (label, value, _), point_runs in zip(grid, zip(*runs)):
         means = {
-            name: float(np.mean([getattr(r, name) for r in runs]))
+            name: float(np.mean([getattr(r, name) for r in point_runs]))
             for name, _ in SWEEP_AVERAGES
         }
         parameter = "queue_threshold" if label == "on-off" else "tx_reward"

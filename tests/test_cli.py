@@ -312,6 +312,43 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == f"error: solve_period must be finite and > 0, got {float(period)}\n"
 
+    @pytest.mark.parametrize("method", ["on-off", "mdp", "ql"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--alpha", "7", "alpha must be in (0, 1], got 7.0"),
+            ("--alpha", "0", "alpha must be in (0, 1], got 0.0"),
+            ("--epsilon", "3", "epsilon must be in [0, 1], got 3.0"),
+            ("--epsilon-decay", "nan", "epsilon_decay must be in (0, 1], got nan"),
+            ("--solve-period", "nan", "solve_period must be finite and > 0, got nan"),
+            ("--solve-period", "0.05", "solve_period 0.05 shorter than one frame"),
+        ],
+    )
+    def test_a_bad_run_option_is_refused_under_every_method(
+        self, capsys, command, method, option, value, message
+    ):
+        """Each run option is checked by the constructor that reads it, also
+        when the chosen method does not read it."""
+        chosen = (("--method", method) if command == "simulate"
+                  else ("--methods", method, "--seeds", "1", "--nq-values", "3",
+                        "--r2-values", "5"))
+        code, out, err = run_cli(
+            capsys, command, *chosen, "--duration", "10", option, value
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("method", ["on-off", "mdp", "ql"])
+    def test_in_range_options_a_method_ignores_keep_working(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "simulate", "--method", method, "--duration", "10",
+            "--alpha", "0.5", "--epsilon", "0.5", "--epsilon-decay", "1.0",
+            "--solve-period", "60",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith(f"method={method} seed=0 frames=100\n")
+
     def test_negative_seed_option_names_the_seed(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--method", "on-off", "--duration", "10", "--seed", "-1"

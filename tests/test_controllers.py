@@ -473,22 +473,24 @@ def max_formula_observe(controller, s, action, reward, s_next):
         controller.epsilon *= controller.epsilon_decay
 
 
-def row_formula_observe(estimates, prev_mode, next_mode, seconds=None):
-    """The estimates' updates with ``1 - alpha`` taken at every call."""
-    keep = 1.0 - estimates.alpha
-    row = estimates._rows[prev_mode]
+def row_formula_observe(rows, alpha, prev_mode, next_mode):
+    """One blend of the app-mode estimate, ``1 - alpha`` taken at every call,
+    on ``rows``, a list of lists of floats."""
+    keep = 1.0 - alpha
+    row = rows[prev_mode]
     for j, p in enumerate(row):
         row[j] = p * keep
-    row[next_mode] += estimates.alpha
+    row[next_mode] += alpha
     total = 0.0
     for p in row:
         total += p
     for j, p in enumerate(row):
         row[j] = p / total
-    if seconds is not None:
-        blended = (estimates.connect_time_hat * (1.0 - estimates.alpha)
-                   + seconds * estimates.alpha)
-        estimates.connect_time_hat = max(blended, estimates.frame_period)
+
+
+def blend_formula_connect_time(estimate, seconds, alpha, frame_period):
+    """The attach-delay blend, ``1 - alpha`` taken at every call."""
+    return max(estimate * (1.0 - alpha) + seconds * alpha, frame_period)
 
 
 def float_bits(values):
@@ -530,16 +532,125 @@ class TestPerFrameUpdatesAreTheirFormulas:
             app_packet_prob=(0.05, 0.5, 1.0),
         )
         got = ParameterEstimates(config, alpha=0.3)
-        want = ParameterEstimates(config, alpha=0.3)
-        for _ in range(5000):
+        rows = [list(row) for row in config.app_transition]
+        connect_time_hat = config.connect_time
+        for frame in range(5000):
             prev_mode, next_mode = (int(x) for x in rng.integers(3, size=2))
             seconds = float(rng.uniform(0.1, 10.0)) if rng.random() < 0.1 else None
             got.observe_app_transition(prev_mode, next_mode)
+            row_formula_observe(rows, 0.3, prev_mode, next_mode)
             if seconds is not None:
                 got.observe_connect_time(seconds)
-            row_formula_observe(want, prev_mode, next_mode, seconds)
-        assert np.array_equal(float_bits(got._rows), float_bits(want._rows))
-        assert got.connect_time_hat == want.connect_time_hat
+                connect_time_hat = blend_formula_connect_time(
+                    connect_time_hat, seconds, 0.3, config.frame_period
+                )
+            if frame % 997 == 0:
+                # A fold partway through gives the bits of the same frames.
+                assert np.array_equal(float_bits(got.sigma_hat), float_bits(rows))
+        assert np.array_equal(float_bits(got.sigma_hat), float_bits(rows))
+        assert got.connect_time_hat == connect_time_hat
+
+
+class PerFrameEstimates(ParameterEstimates):
+    """The planner's estimates as they were: the app-mode rows blended by the
+    row formula on every observed transition, with nothing left to fold."""
+
+    def __init__(self, config, alpha):
+        super().__init__(config, alpha=alpha)
+        self.rows = [list(row) for row in config.app_transition]
+
+    def observe_app_transition(self, prev_mode, next_mode):
+        row_formula_observe(self.rows, self.alpha, prev_mode, next_mode)
+
+    @property
+    def sigma_hat(self):
+        return np.array(self.rows)
+
+
+def random_estimates_config(rng, n_modes):
+    sigma = rng.random((n_modes, n_modes)) + 1e-3
+    sigma /= sigma.sum(axis=1, keepdims=True)
+    return NodeConfig(app_transition=sigma, app_packet_prob=(0.5,) * n_modes)
+
+
+class TestFoldedEstimates:
+    """Logged transitions fold, once per distinct input, to the bits of one
+    blend per transition."""
+
+    # 17 modes take the wider transition code.
+    @pytest.mark.parametrize("n_modes", [2, 3, 5, 17])
+    def test_a_batch_folds_to_the_per_transition_bits_on_a_miss_and_a_hit(self, n_modes):
+        rng = np.random.default_rng(40 + n_modes)
+        config = random_estimates_config(rng, n_modes)
+        alpha = float(rng.uniform(0.01, 1.0))
+        transitions = [tuple(int(x) for x in pair)
+                       for pair in rng.integers(n_modes, size=(3000, 2))]
+        rows = [list(row) for row in config.app_transition]
+        for prev_mode, next_mode in transitions:
+            row_formula_observe(rows, alpha, prev_mode, next_mode)
+        controllers.fold_transitions.cache_clear()
+        for expected_hits in (0, 1):
+            estimates = ParameterEstimates(config, alpha=alpha)
+            for prev_mode, next_mode in transitions:
+                estimates.observe_app_transition(prev_mode, next_mode)
+            estimates.fold()
+            info = controllers.fold_transitions.cache_info()
+            assert (info.hits, info.misses) == (expected_hits, 1)
+            assert np.array_equal(float_bits(estimates.sigma_hat), float_bits(rows))
+
+    def test_a_negative_zero_keeps_its_bits(self):
+        transitions = [(0, 0), (1, 0), (1, 1), (0, 0)]
+        controllers.fold_transitions.cache_clear()
+        for zero in (0.0, -0.0):
+            config = NodeConfig(app_transition=((1.0, zero), (0.5, 0.5)))
+            estimates = ParameterEstimates(config)
+            rows = [list(row) for row in config.app_transition]
+            for prev_mode, next_mode in transitions:
+                estimates.observe_app_transition(prev_mode, next_mode)
+                row_formula_observe(rows, estimates.alpha, prev_mode, next_mode)
+            sigma = estimates.sigma_hat
+            assert np.array_equal(float_bits(sigma), float_bits(rows))
+            assert np.signbit(sigma[0, 1]) == np.signbit(zero)
+        # The two priors are equal as floats but not as bytes: no shared entry.
+        assert controllers.fold_transitions.cache_info().misses == 2
+
+    def test_folded_rows_are_immutable_and_sigma_hat_is_fresh(self):
+        estimates = ParameterEstimates(NodeConfig())
+        estimates.observe_app_transition(0, 1)
+        sigma = estimates.sigma_hat
+        sigma[0, 0] = 7.0
+        assert estimates.sigma_hat[0, 0] != 7.0
+        assert isinstance(estimates._rows, bytes)
+
+    def test_resolve_policy_called_from_act_sees_no_pending_transitions(self, monkeypatch):
+        pending = []
+        resolve_policy = StructuredController.resolve_policy
+
+        def recording(self):
+            pending.append(len(self.estimates._transitions))
+            return resolve_policy(self)
+
+        monkeypatch.setattr(StructuredController, "resolve_policy", recording)
+        controller = StructuredController(NodeConfig(), solve_period=100.0)
+        simulate(Scenario(duration_frames=3000), controller)
+        assert pending == [0, 0, 0]
+        # The frames after the last solve wait in the log for the next fold.
+        assert len(controller.estimates._transitions) == 1000
+
+    def test_a_planner_reused_for_two_runs_matches_the_per_frame_reference(self):
+        scenario = Scenario(duration_frames=12000)
+        got = StructuredController(scenario.node, solve_period=500.0)
+        want = StructuredController(scenario.node, solve_period=500.0)
+        want.estimates = PerFrameEstimates(scenario.node, want.estimates.alpha)
+        for seed in (1, 2):
+            seeded = Scenario(duration_frames=12000, seed=seed)
+            assert simulate(seeded, got) == simulate(seeded, want)
+        # Runs 1 and 2 re-solve on acts 0, 5 000, 10 000, then 15 000, 20 000.
+        assert got.solve_count == want.solve_count == 5
+        assert got.policy == want.policy
+        assert np.array_equal(float_bits(got.estimates.sigma_hat),
+                              float_bits(want.estimates.sigma_hat))
+
 
 class TestLearnableParameterCount:
     def test_case_study_counts(self):

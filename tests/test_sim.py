@@ -46,6 +46,7 @@ from compactmdp.sim import (
     NQ_SWEEP,
     R2_SWEEP,
     SERIES_LABELS,
+    SWEEP_AVERAGES,
     SWEEP_CSV_COLUMNS,
     SimMetrics,
 )
@@ -665,6 +666,29 @@ class TestSweep:
             assert float(row[2]) == point.value
             assert float(row[4]) == pytest.approx(point.avg_latency, rel=1e-5)
             assert float(row[5]) == pytest.approx(point.energy_per_packet, rel=1e-5)
+
+    def test_a_seeds_planners_share_their_folds(self):
+        """Three ``mdp`` points at two seeds, re-solving every 500 acts: at
+        each seed the first point misses its 5 folds and the other two hit
+        them.  The 10 folds of both seeds would not fit in the cache, so a
+        point-major order would miss them all.  The points are those of
+        fresh runs that share nothing."""
+        scenario = Scenario(duration_frames=3000)
+        values = (3.0, 5.0, 8.0)
+        assert 2 * 5 > controllers.FOLD_CACHE_SIZE
+        controllers.fold_transitions.cache_clear()
+        points = pareto_sweep(scenario, series=("mdp",), r2_values=values,
+                              seeds=(0, 1), solve_period=50.0)
+        info = controllers.fold_transitions.cache_info()
+        assert (info.hits, info.misses) == (2 * 2 * 5, 2 * 5)
+        for point, value in zip(points, values):
+            runs = []
+            for seed in (0, 1):
+                controllers.fold_transitions.cache_clear()
+                controller = make_controller("mdp", scenario.node, value, solve_period=50.0)
+                runs.append(simulate(replace(scenario, seed=seed), controller))
+            for name, _ in SWEEP_AVERAGES:
+                assert getattr(point, name) == float(np.mean([getattr(r, name) for r in runs]))
 
     def test_sweep_default_decay_is_applied(self):
         controller = make_controller("ql", NodeConfig(), 5.0, seed=0)
