@@ -57,6 +57,7 @@ from .sim import (
     SimMetrics,
     SweepPoint,
     average_power,
+    check_run_options,
     crossover_period,
     make_controller,
     pareto_sweep,
@@ -107,6 +108,7 @@ __all__ = [
     "assemble_stm",
     "average_power",
     "build_mdp",
+    "check_run_options",
     "coo_to_csr",
     "crossover_period",
     "dense_value_iteration",

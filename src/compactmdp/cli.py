@@ -35,6 +35,7 @@ from .sim import (
     REFERENCE_POWER_MODELS,
     SERIES_LABELS,
     average_power,
+    check_run_options,
     crossover_period,
     make_controller,
     pareto_sweep,
@@ -89,10 +90,7 @@ def _run_inputs(args):
         scenario = replace(scenario, duration_frames=frames)
     options = dict(alpha=args.alpha, epsilon=args.epsilon, solve_period=args.solve_period,
                    epsilon_decay=args.epsilon_decay)
-    # Every option goes through the constructor that reads it, whichever
-    # method runs, so a value no method would take is refused, not dropped.
-    for series in ("mdp", "ql"):
-        make_controller(series, scenario.node, scenario.node.reward_weights[1], **options)
+    check_run_options(scenario.node, **options)
     return scenario, options
 
 

@@ -4,11 +4,16 @@ Three policies share one frame-stepped protocol over the flat state index
 ``s = (app_mode * queue_states + queue) * 3 + modem`` of the stacked MDP (the
 layout :mod:`compactmdp.node` encodes and decodes): ``act(s)`` returns an
 action, then ``observe(s, action, reward, s_next)`` learns from the frame's
-outcome.  Neither takes the frame number, which no controller reads.  A
-controller keeps its state across runs: the Q-table and epsilon, the
-planner's estimates and its re-solve clock (it counts its own ``act`` calls)
-go on where the previous run left them.  Every controller is built from, and
-keeps, the (valid by construction) ``config`` it plans for and reads every
+outcome.  Neither takes the frame number, which no controller reads.  Over
+frames that leave the state as it is, :func:`compactmdp.sim.simulate` asks
+``hold(s, action, reward, k)`` instead: it returns the number ``j`` in ``[0,
+k]`` of those frames the controller holds, and leaves the controller exactly
+as ``j`` frames of ``act(s) -> action`` and ``observe(s, action, reward, s)``
+would.  Returning 0 is always correct.  A controller keeps its state across
+runs: the Q-table and epsilon, the planner's estimates and its re-solve
+clock (it counts its own ``act`` calls and held frames) go on where the
+previous run left them.  Every controller is built from, and keeps, the
+(valid by construction) ``config`` it plans for and reads every
 model number (layout, frame period, discount, the planner's priors) off it;
 :func:`compactmdp.sim.simulate` reads that config off every controller, checks
 its layout and frame period against the scenario's before frame 0, and rewards
@@ -31,6 +36,7 @@ import functools
 import math
 import zlib
 from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -166,6 +172,10 @@ class ParameterEstimates:
         """Log one observed app-mode transition for the next :meth:`fold`."""
         self._transitions.append(prev_mode * self.n_modes + next_mode)
 
+    def observe_app_stays(self, mode, count):
+        """Log ``count`` transitions of app mode ``mode`` to itself."""
+        self._transitions.extend(repeat(mode * self.n_modes + mode, count))
+
     def fold(self):
         """Blend the logged transitions into ``sigma_hat``, in order, and
         clear the log."""
@@ -223,15 +233,18 @@ class ThresholdController:
     def observe(self, s, action, reward, s_next):
         return None
 
+    def hold(self, s, action, reward, k):
+        return k if self.policy[s] == action else 0
+
 
 class StructuredController:
     """Model-learning controller: estimate the free parameters, re-solve, look up.
 
     Between solves the controller is a pure table lookup.  It counts its own
-    ``act`` calls, across runs: on the first (using the design-time priors)
-    and on every ``solve_period_frames``-th call after it, it folds the
-    app-mode transitions ``observe`` logged into its estimates, rebuilds the
-    MDP from them and runs sparse value iteration.  If a solve fails
+    ``act`` calls and held frames, across runs: on the first act (using the
+    design-time priors) and on every ``solve_period_frames``-th after it, it
+    folds the app-mode transitions ``observe`` and ``hold`` logged into its
+    estimates, rebuilds the MDP from them and runs sparse value iteration.  If a solve fails
     (``ValueError`` from the model build, ``ConvergenceError`` from the solver)
     the previous policy stays in force and ``solver_failures`` counts it; any
     other exception propagates and leaves the clock where it was, so the next
@@ -296,6 +309,21 @@ class StructuredController:
                     self._connecting_frames * self.config.frame_period
                 )
             self._connecting_frames = 0
+
+    def hold(self, s, action, reward, k):
+        """Hold up to the frame before the next re-solve, which only ``act``
+        makes, logging each held frame's app-mode stay and attach frame."""
+        left = self._acts_to_solve
+        if not left or self.policy[s] != action:
+            return 0
+        held = min(k, left)
+        self._acts_to_solve = left - held
+        self.estimates.observe_app_stays(s // self._mode_stride, held)
+        if s % N_MODEM_STATES == M_CONNECTING:
+            self._connecting_frames += held
+        else:
+            self._connecting_frames = 0
+        return held
 
 
 class QLearningController:
@@ -375,3 +403,34 @@ class QLearningController:
         if self.epsilon_decay < 1.0:
             self.epsilon *= self.epsilon_decay
 
+    def hold(self, s, action, reward, k):
+        """Run ``observe``'s update once a held frame, up to the first frame
+        on which ``act`` would choose another action greedily or explore
+        (that frame's uniform is looked at, not used)."""
+        q = self.q
+        on = self.n_states + s
+        # act's greedy choice, as a bool: ACTION_ON is 1.
+        if (q[on] > q[s]) != action:
+            return 0
+        i = on if action == ACTION_ON else s
+        alpha, discount, decay = self.alpha, self._discount, self.epsilon_decay
+        epsilon = self.epsilon
+        uniforms = self._uniforms
+        held = 0
+        while held < k:
+            if epsilon > 0.0:
+                uniforms = uniforms or self._draw_block()
+                if uniforms[-1] < epsilon:
+                    break
+                uniforms.pop()
+            # The successor is s and the greedy action is action, so the
+            # best successor value is q[i] itself.
+            old = q[i]
+            q[i] = old + alpha * (reward + discount * old - old)
+            if decay < 1.0:
+                epsilon *= decay
+            held += 1
+            if (q[on] > q[s]) != action:
+                break
+        self.epsilon = epsilon
+        return held

@@ -15,7 +15,11 @@ environment's randomness does not depend on the controller, so a scenario
 draws its whole app-mode and arrival path once, on its first run, and every
 run on it (all of a sweep's points at one seed) reads that one path.  The
 frame loop walks the path by iteration, and takes each frame's reward from a
-table built before frame 0 with the frame-reward expression.
+table built before frame 0 with the frame-reward expression.  It calls the
+controller once a frame or holds the frame: over a stretch of still frames
+(no arrival, no app-mode change) in which the controller keeps the modem
+where it is, one ``hold`` call stands for every frame it holds, and the loop
+jumps over them.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``.
 Every controller carries the ``config`` it was built for, and :func:`simulate`
@@ -37,6 +41,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -113,8 +118,9 @@ class Scenario:
     Each change, applied in time order on top of the earlier ones, must leave a
     valid node; ``_steps`` keeps that walk as ``[(first frame, config), ...]``.
     ``_trace`` is the scenario's exogenous sample path, drawn on first use and
-    then shared by every run of the scenario; a pickled scenario leaves it out
-    and draws it again.
+    then shared by every run of the scenario, and ``_still`` its still-run
+    array (:func:`_still_runs`), built from it on first use; a pickled
+    scenario leaves both out and builds them again.
     """
 
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -142,9 +148,14 @@ class Scenario:
     def _trace(self):
         return _exogenous_trace(self.seed, self.duration_frames, self._steps)
 
+    @cached_property
+    def _still(self):
+        return _still_runs(*self._trace)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_trace", None)
+        state.pop("_still", None)
         return state
 
     @property
@@ -230,6 +241,27 @@ def _exogenous_trace(seed, frames, steps):
     return app_path, arrivals.tobytes()
 
 
+def _still_runs(app_path, arrivals):
+    """How many still frames start at each frame, capped at 255, as bytes.
+
+    Frame ``f`` is still when no packet arrives in it and the app mode stays,
+    ``app_path[f + 1] == app_path[f]``.  Entry ``f`` of the result counts the
+    still frames ``f, f + 1, ...`` before the first that is not; entry
+    ``frames`` is 0.  One byte a frame, built in place by doubling: after the
+    pass with shift ``d`` each entry is its run capped at ``2 d``.
+    """
+    path = np.asarray(app_path)
+    runs = np.zeros(len(path), dtype=np.uint8)
+    np.equal(path[1:], path[:-1], out=runs[:-1].view(bool))
+    np.copyto(runs[:-1], 0, where=np.frombuffer(arrivals, dtype=bool))
+    for shift in (1, 2, 4, 8, 16, 32, 64, 128):
+        head = runs[:-shift]
+        # The last pass adds at most 127, so no entry passes 255.
+        tail = runs[shift:] if shift < 128 else np.minimum(runs[shift:], 127)
+        np.add(head, tail, out=head, where=head == shift)
+    return runs.tobytes()
+
+
 def simulate(scenario, controller):
     """Run one controller through one scenario; return :class:`SimMetrics`.
 
@@ -241,9 +273,22 @@ def simulate(scenario, controller):
     schedule) is drawn once per scenario, before frame 0 of its first run,
     and every later run of the same scenario reuses it; the frame loop then
     walks it by iteration, only steps the modem and the queue, and calls the
-    controller's ``act`` and ``observe`` once each, with flat state indices
-    (both looked up on the controller when the run starts); ``act`` gets the
-    state alone.  A controller keeps its state across runs (Q-table and
+    controller's ``act`` and ``observe`` once a frame or holds the frame,
+    with flat state indices (``act``, ``observe`` and ``hold`` are looked up
+    on the controller when the run starts); ``act`` gets the state alone.
+
+    A still frame has no arrival and no app-mode change.  After a frame that
+    leaves the modem off, attaching, or connected with an empty queue, a
+    still frame keeps the state as it is if the controller keeps the modem
+    where it is (off, or on); an attach must not complete in it.  Over such
+    a stretch of ``k`` frames the loop asks ``hold(s, action, reward, k)``
+    once for the number ``j`` in ``[0, k]`` it holds, which must leave the
+    controller as ``j`` frames of ``act(s) -> action`` and ``observe(s,
+    action, reward, s)`` would; it adds the frame's energy and reward ``j``
+    times, in order, and jumps ``j`` frames ahead.  The scenario's
+    ``_still`` array counts the still frames ahead.
+
+    A controller keeps its state across runs (Q-table and
     epsilon, the planner's estimates and re-solve clock), so a second run
     goes on where the first stopped; ``solver_invocations`` and
     ``solver_kernel_ops`` count only this run's solves.  The ``config``
@@ -294,6 +339,11 @@ def simulate(scenario, controller):
     # the class's methods made before the run sees every call.
     act = controller.act
     observe = controller.observe
+    hold = controller.hold
+    # By modem state, whether a still frame's energy and reward are both
+    # zero.  Neither sum below can be -0.0, since each starts at +0.0, so
+    # adding a zero leaves it as it is.
+    zero = [e == 0.0 and r == 0.0 for e, r in zip(frame_energy, idle)]
     # The planner's totals run across runs; this run reports its own share.
     solves_before = getattr(controller, "solve_count", 0)
     kernel_ops_before = getattr(controller, "total_kernel_ops", 0)
@@ -314,7 +364,10 @@ def simulate(scenario, controller):
     latency_frames = 0
     reward_total = 0.0
 
-    for frame, arrived, app in zip(range(frames), arrivals, app_path[1:]):
+    # Each frame's index, arrival and next app mode, and the still frames
+    # after it.
+    stepped = zip(range(frames), arrivals, app_path[1:], memoryview(scenario._still)[1:])
+    for frame, arrived, app, ahead in stepped:
         action = act(s)
 
         # Modem first: the frame is spent in the state being entered.
@@ -364,6 +417,25 @@ def simulate(scenario, controller):
         s_next = (app * nq + queue_len) * stride + modem
         observe(s, action, frame_reward, s_next)
         s = s_next
+
+        # Still frames ahead keep this state if the controller repeats this
+        # frame's action, which kept the modem off or on: short of an
+        # attach's last frame, and unless a connected queue drains.  Their
+        # reward is idle[modem] (sent[0] is idle[connected]).
+        if ahead and (modem != connected or not queue_len):
+            if modem == connecting and ahead >= attach_frames_left:
+                ahead = attach_frames_left - 1
+            if ahead:
+                held = hold(s, action, idle[modem], ahead)
+                if held:
+                    if not zero[modem]:
+                        energy, frame_reward = frame_energy[modem], idle[modem]
+                        for _ in range(held):
+                            current_energy += energy
+                            reward_total += frame_reward
+                    if modem == connecting:
+                        attach_frames_left -= held
+                    next(islice(stepped, held, held), None)
 
     # A transaction still open at the end (modem not off) is counted too.
     if modem != M_OFF:
@@ -424,6 +496,15 @@ def make_controller(series, config, value, seed=None, alpha=DEFAULT_ALPHA,
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES_LABELS}")
 
 
+def check_run_options(config, **options):
+    """Refuse a run option that a learning series would refuse, whichever
+    series will run: each option goes through the constructor that reads it,
+    ``"mdp"``'s first, so a value no series would take is not dropped
+    unchecked.  ``options`` are :func:`make_controller`'s keywords."""
+    for series in ("mdp", "ql"):
+        make_controller(series, config, config.reward_weights[1], **options)
+
+
 #: The seed-averaged sweep metrics, each a :class:`SimMetrics` and a
 #: :class:`SweepPoint` field, with its CSV column.
 SWEEP_AVERAGES = (
@@ -458,10 +539,11 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
 
     The learning controllers sweep the reward-per-packet weight; the threshold
     rule sweeps its queue threshold.  Every point's controllers, one per seed,
-    are built before the first run, so a bad grid value fails before any
-    simulation.  The runs go seed by seed, every point at one seed before the
-    next seed; each point's means take its runs in seed order.  Returns the
-    :class:`SweepPoint` list, series by series.
+    are built and the run options checked (:func:`check_run_options`) before
+    the first run, so a bad grid value or option fails before any
+    simulation.  The runs go seed by seed, every point at one seed before
+    the next seed; each point's means take its runs in seed order.  Returns
+    the :class:`SweepPoint` list, series by series.
     """
     if len(seeds) < 1:
         raise ValueError("a sweep needs at least one seed")
@@ -474,6 +556,7 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
         for label in series
         for value in (nq_values if label == "on-off" else r2_values)
     ]
+    check_run_options(scenario.node, **controller_kwargs)
     # Seed by seed: the planners at one seed observe one app-mode path, so
     # they share its estimate folds while the fold cache still holds them.
     runs = [

@@ -70,7 +70,43 @@ def dense_stm(config, sigma=None, rho=None):
     return stacked
 
 
-class AlwaysOnController:
+class NeverHolds:
+    """A ``hold`` that holds no frame, so that ``simulate`` calls ``act`` and
+    ``observe`` on every frame."""
+
+    def hold(self, s, action, reward, k):
+        return 0
+
+
+def never_holding(controller):
+    """``controller``, holding no frame from now on."""
+    controller.hold = NeverHolds().hold
+    return controller
+
+
+def controller_state(controller):
+    """Everything a run leaves in a controller, as comparable values: the
+    Q-table's bits, epsilon, the generator and its unused uniforms, the
+    planner's policy, counters, clocks, pending log and estimates' bits."""
+    state = {}
+    if hasattr(controller, "q"):
+        state["q"] = np.array(controller.q).view(np.int64).tolist()
+        state["epsilon"] = repr(controller.epsilon)
+        state["rng"] = controller.rng.bit_generator.state
+        state["uniforms"] = repr(controller._uniforms)
+        state["block_state"] = controller._block_state
+    if hasattr(controller, "estimates"):
+        estimates = controller.estimates
+        for name in ("policy", "solve_count", "total_kernel_ops", "solver_failures",
+                     "_acts_to_solve", "_connecting_frames"):
+            state[name] = getattr(controller, name)
+        state["log"] = bytes(estimates._transitions)
+        state["connect_time_hat"] = repr(estimates.connect_time_hat)
+        state["sigma_hat"] = estimates.sigma_hat.tobytes()
+    return state
+
+
+class AlwaysOnController(NeverHolds):
     """Keeps the modem on unconditionally; useful as a latency floor."""
 
     def __init__(self, config):

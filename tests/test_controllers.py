@@ -31,6 +31,7 @@ from compactmdp.controllers import (
 from compactmdp.core import ConvergenceError
 from compactmdp.node import N_ACTIONS
 from compactmdp.solver import svi_solve
+from support import NeverHolds, never_holding
 
 
 class TestParameterEstimates:
@@ -360,10 +361,10 @@ class TestQLearningController:
             QLearningController(NodeConfig(), **kwargs)
 
 
-class PerFrameQLearning(QLearningController):
+class PerFrameQLearning(NeverHolds, QLearningController):
     """The reference stream: one ``rng.random()`` per frame, then
     ``rng.integers(2)`` when it explores.  ``explored`` lists those frames,
-    counted in ``act`` calls from the first."""
+    counted in ``act`` calls from the first; it holds no frame."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -455,6 +456,8 @@ class TestBatchedExploration:
             assert batched._uniforms
             explored.append(len(reference.explored))
         assert batched.q == reference.q
+        # The batched controller held frames; the reference stepped each one.
+        assert batched.epsilon == reference.epsilon
         # Both runs explore, and a forced exploration leaves the generator
         # where the per-frame stream has it.
         assert 0 < explored[0] < explored[1]
@@ -638,9 +641,10 @@ class TestFoldedEstimates:
         assert len(controller.estimates._transitions) == 1000
 
     def test_a_planner_reused_for_two_runs_matches_the_per_frame_reference(self):
+        """The planner holds frames; the reference steps every one."""
         scenario = Scenario(duration_frames=12000)
         got = StructuredController(scenario.node, solve_period=500.0)
-        want = StructuredController(scenario.node, solve_period=500.0)
+        want = never_holding(StructuredController(scenario.node, solve_period=500.0))
         want.estimates = PerFrameEstimates(scenario.node, want.estimates.alpha)
         for seed in (1, 2):
             seeded = Scenario(duration_frames=12000, seed=seed)
@@ -650,6 +654,9 @@ class TestFoldedEstimates:
         assert got.policy == want.policy
         assert np.array_equal(float_bits(got.estimates.sigma_hat),
                               float_bits(want.estimates.sigma_hat))
+        assert got.estimates.connect_time_hat == want.estimates.connect_time_hat
+        assert (got._acts_to_solve, got._connecting_frames) == (
+            want._acts_to_solve, want._connecting_frames)
 
 
 class TestLearnableParameterCount:

@@ -37,6 +37,7 @@ from compactmdp import (
 from compactmdp.node import (
     ACTION_ON, M_CONNECTED, M_CONNECTING, M_OFF, N_ACTIONS, N_MODEM_STATES,
 )
+from support import NeverHolds
 
 FRAMES = 1_200_000
 MIN_VISITS = 2000
@@ -44,7 +45,7 @@ Z_BOUND = 4.0
 SEED = 0
 
 
-class Recording(ThresholdController):
+class Recording(NeverHolds, ThresholdController):
     """The threshold rule at 3 packets, keeping each frame's stacked row,
     successor and reward."""
 

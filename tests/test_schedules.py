@@ -102,6 +102,9 @@ class Untouched:
     def act(self, state):
         raise AssertionError("the run started")
 
+    def hold(self, s, action, reward, k):
+        return 0
+
 
 @settings(max_examples=40, deadline=None)
 @given(

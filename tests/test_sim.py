@@ -50,7 +50,7 @@ from compactmdp.sim import (
     SWEEP_CSV_COLUMNS,
     SimMetrics,
 )
-from support import AlwaysOnController
+from support import AlwaysOnController, NeverHolds, controller_state
 
 QUIET = NodeConfig(app_packet_prob=(0.0, 0.0))
 
@@ -203,19 +203,26 @@ class TestReusedController:
     def test_a_reused_planner_keeps_its_re_solve_clock(self, monkeypatch):
         """Hourly at 0.1 s frames, a planner run twice for 75 000 frames
         re-solves on its acts 0, 36 000 and 72 000, then on 108 000 and
-        144 000 (frames 33 000 and 69 000 of the second run)."""
+        144 000 (frames 33 000 and 69 000 of the second run).  A held frame
+        counts as an act."""
         scenario = Scenario(duration_frames=75000)
         controller = StructuredController(scenario.node)
         acts = {"count": 0}
         solved_on = []
         kernel_ops = []
         act = StructuredController.act
+        hold = StructuredController.hold
         resolve_policy = StructuredController.resolve_policy
         svi_solve = controllers.svi_solve
 
         def counted_act(self, *args):
             acts["count"] += 1
             return act(self, *args)
+
+        def counted_hold(self, *args):
+            held = hold(self, *args)
+            acts["count"] += held
+            return held
 
         def counted_resolve(self, *args):
             solved_on.append(acts["count"] - 1)
@@ -227,6 +234,7 @@ class TestReusedController:
             return result
 
         monkeypatch.setattr(StructuredController, "act", counted_act)
+        monkeypatch.setattr(StructuredController, "hold", counted_hold)
         monkeypatch.setattr(StructuredController, "resolve_policy", counted_resolve)
         monkeypatch.setattr(controllers, "svi_solve", kept_solve)
         first = simulate(scenario, controller)
@@ -240,7 +248,7 @@ class TestReusedController:
         assert controller.total_kernel_ops == sum(kernel_ops)
 
 
-class RecordingController(ThresholdController):
+class RecordingController(NeverHolds, ThresholdController):
     """The threshold rule at 3 packets, keeping every reward it observes."""
 
     def __init__(self, config):
@@ -274,6 +282,9 @@ class TestRewardOwner:
         for reward in expected:
             total += reward
         assert metrics.reward_total == total
+        # The rule run with holds sums the same rewards.
+        held = run(ThresholdController(NodeConfig(reward_weights=weights), 3), frames=20000)
+        assert repr(held) == repr(metrics)
         # Everything but the reward follows the scenario alone.
         base = run(ThresholdController(NodeConfig(), 3), frames=20000)
         assert replace(metrics, reward_total=base.reward_total) == base
@@ -403,8 +414,9 @@ def reference_simulate(scenario, controller):
     )
 
 
-class RecordingProxy:
-    """Passes every call to ``inner`` and keeps each ``observe`` argument tuple."""
+class RecordingProxy(NeverHolds):
+    """Passes every call to ``inner`` and keeps each ``observe`` argument
+    tuple; it holds no frame, so it sees every frame's."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -470,15 +482,18 @@ def outcome_rewards(config):
 
 class TestAgainstTheReferenceLoop:
     """``simulate`` gives bit for bit the reference loop's runs: the same
-    metrics and the same ``observe`` calls, down to a reward's sign bit."""
+    metrics and the same ``observe`` calls, down to a reward's sign bit.  A
+    third controller, run with holds, ends with the same metrics and state."""
 
-    def check(self, scenario, reference, controller):
+    def check(self, scenario, reference, controller, held):
         reference, changed = RecordingProxy(reference), RecordingProxy(controller)
         expected = reference_simulate(scenario, reference)
         metrics = simulate(scenario, changed)
         assert metrics == expected
         assert repr(metrics) == repr(expected)
         assert repr(changed.seen) == repr(reference.seen)
+        assert repr(simulate(scenario, held)) == repr(expected)
+        assert controller_state(held) == controller_state(reference.inner)
         return changed.seen
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_NODES))
@@ -486,9 +501,10 @@ class TestAgainstTheReferenceLoop:
         config = REFERENCE_NODES[name]
         scenario = reference_scenario(config)
         want, got = reference_controllers(config), reference_controllers(config)
+        held = reference_controllers(config)
         rewards = set()
         for series in SERIES_LABELS:
-            seen = self.check(scenario, want[series], got[series])
+            seen = self.check(scenario, want[series], got[series], held[series])
             rewards.update(repr(frame[2]) for frame in seen)
         assert rewards == {repr(r) for r in outcome_rewards(config).values()}
         assert got["mdp"].solve_count == 2400 // 120
@@ -498,7 +514,7 @@ class TestAgainstTheReferenceLoop:
     def test_a_run_that_ends_with_the_modem_on(self):
         config = REFERENCE_NODES["tx1"]
         scenario = reference_scenario(config)
-        always_on = [make_controller("mdp", config, 1000.0) for _ in range(2)]
+        always_on = [make_controller("mdp", config, 1000.0) for _ in range(3)]
         seen = self.check(scenario, *always_on)
         assert seen[-1][3] % N_MODEM_STATES != M_OFF
 
@@ -666,6 +682,33 @@ class TestSweep:
             assert float(row[2]) == point.value
             assert float(row[4]) == pytest.approx(point.avg_latency, rel=1e-5)
             assert float(row[5]) == pytest.approx(point.energy_per_packet, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            # The call that once returned a NaN point: the planner's option first.
+            (dict(alpha=7, solve_period=math.nan, epsilon=3),
+             "solve_period must be finite and > 0, got nan"),
+            (dict(alpha=7), r"alpha must be in \(0, 1\], got 7"),
+            (dict(epsilon=3), r"epsilon must be in \[0, 1\], got 3"),
+            (dict(epsilon_decay=0.0), r"epsilon_decay must be in \(0, 1\], got 0.0"),
+        ],
+    )
+    def test_a_bad_run_option_fails_before_any_run_whatever_the_series(
+            self, monkeypatch, options, message):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pareto_sweep(Scenario(duration_frames=10), series=("on-off",), nq_values=[3],
+                         seeds=(0,), **options)
+
+    def test_in_range_options_a_series_ignores_are_accepted(self):
+        scenario = Scenario(duration_frames=500)
+        points = pareto_sweep(scenario, series=("on-off",), nq_values=[3], seeds=(0,),
+                              alpha=0.5, solve_period=60.0, epsilon=0.0)
+        assert points == pareto_sweep(scenario, series=("on-off",), nq_values=[3], seeds=(0,))
 
     def test_a_seeds_planners_share_their_folds(self):
         """Three ``mdp`` points at two seeds, re-solving every 500 acts: at
