@@ -186,6 +186,8 @@ class ParameterEstimates:
 
     def observe_connect_time(self, seconds):
         """Blend one measured attach duration into ``connect_time_hat``."""
+        if not math.isfinite(seconds):
+            raise ValueError(f"attach duration {seconds} is not finite")
         if seconds < self.frame_period:
             raise ValueError(f"attach duration {seconds} shorter than one frame")
         blended = self.connect_time_hat * self._keep + seconds * self.alpha

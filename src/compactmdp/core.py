@@ -4,17 +4,17 @@ Conventions used throughout the package:
 
 * A finite MDP with ``n_states`` states and ``n_actions`` actions stores its
   transition kernel as a single stacked matrix of shape
-  ``(n_states * n_actions, n_states)``, held as a
-  :class:`~compactmdp.sparse.SparseMatrixCSR`: row
-  ``action * n_states + state`` holds the distribution over successor states
-  for that state/action pair (action-major flattening).  Reward vectors use
-  the same indexing.  A model given as a dense matrix enters through
+  ``(n_states * n_actions, n_states)``, held as row-sorted coordinates in a
+  :class:`~compactmdp.sparse.SparseMatrixCSR`: row ``action * n_states +
+  state`` holds the distribution over successor states for that
+  state/action pair (action-major flattening).  Reward vectors use the same
+  indexing.  A model given as a dense matrix enters through
   :func:`~compactmdp.sparse.to_sparse`.
 * Deterministic policies are arrays mapping each state to the lowest-index
   maximizing action (ties break toward the smaller action index).
 
-An :class:`MdpSpec` is valid by construction, and its rewards and the arrays
-its CSR was given are read-only, so neither solver checks it again.
+An :class:`MdpSpec` is valid by construction, and its rewards and its matrix's
+columns and values are read-only, so neither solver checks it again.
 
 ``dense_value_iteration`` here is the reference solver: it expands the stacked
 matrix with ``.dense()`` and uses ordinary matrix products, and is the

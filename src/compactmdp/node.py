@@ -24,7 +24,9 @@ times have the same mean, ``N`` frames.
 
 A :class:`NodeConfig` is checked once, when it is built (or ``replace``-d), so
 the functions here check only their own extra arguments, such as a ``sigma``
-or ``rho`` override.
+or ``rho`` override.  :func:`assemble_stm` forms only the nonzero entries of
+the stacked transition matrix, and :func:`~compactmdp.sparse.coo_to_csr`
+stores them sorted by row: one row index, column index and value each.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Sparse value iteration.
 
 The :class:`~compactmdp.core.MdpSpec` carries its stacked transition matrix
-in CSR form and is valid by construction, so the solver checks nothing: the
-fixed-point loop applies the four kernels from
+as row-sorted coordinates and is valid by construction, so the solver checks
+nothing: the fixed-point loop applies the four kernels from
 :mod:`compactmdp.sparse` to the matrix until the value function stops moving:
 
     T = sparse_mult(M, V)          # expected next-state values, per row

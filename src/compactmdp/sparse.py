@@ -1,8 +1,8 @@
 """The CSR container, value-iteration kernels, and storage accounting.
 
-:class:`SparseMatrixCSR` is the one sparse container; :func:`coo_to_csr` and
-:func:`to_sparse` build it.  The sparse solver is built from four small
-kernels that operate on a CSR matrix and flat vectors:
+:class:`SparseMatrixCSR`, the one sparse container, holds each entry's row,
+column and value, sorted by row; :func:`coo_to_csr` and :func:`to_sparse`
+build it.  The sparse solver is built from four small kernels on it:
 
 * :func:`sparse_mult` — CSR matrix times dense vector,
 * :func:`saxpy` — scaled vector add, in place,
@@ -18,15 +18,15 @@ They check nothing per call: the CSR and the :class:`~compactmdp.core.MdpSpec`
 holding it are valid by construction, so the shapes and the sorted,
 duplicate-free entries are fixed once, when they are built.
 
-Storage accounting mirrors a 32-bit embedded target: matrix entries and value
-cells are charged 4 bytes each, and sparse index columns are charged the
-smallest whole number of bytes that can address the corresponding dimension.
+Storage accounting mirrors a 32-bit embedded target: each matrix entry and
+value cell is charged 4 bytes, and each entry's row and column index (the
+container's other two arrays) the fewest whole bytes that address its dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,45 +36,49 @@ VALUE_BYTES = 4
 
 @dataclass(frozen=True)
 class SparseMatrixCSR:
-    """Compressed-sparse-row matrix, valid by construction.
+    """Sparse matrix as row-sorted coordinates, valid by construction.
 
-    ``row_ptr`` has ``n_rows + 1`` entries; row ``i`` owns the slice
-    ``col_idx[row_ptr[i]:row_ptr[i+1]]`` / ``values[row_ptr[i]:row_ptr[i+1]]``.
-    ``row_idx``, the row of each entry, is derived from ``row_ptr`` so the
-    kernels need not expand it on every product.  Construction refuses a
-    ``row_ptr`` that does not rise from 0 to ``nnz``, a column outside the
-    matrix, and a row whose columns repeat (``dense()`` would keep one value,
-    the kernels their sum) or fall, and marks the arrays it is given
-    read-only.  ``row_idx`` stays writable: ``np.bincount`` would copy a
-    read-only index on every product.
+    Entry ``k`` is ``values[k]`` at ``(row_idx[k], col_idx[k])``, sorted by
+    row and then by column.  Construction refuses non-integer index arrays,
+    index arrays whose length differs from ``values``, a row or column
+    outside the matrix, a row that falls, and a row whose columns repeat
+    (``dense()`` would keep one value, the kernels their sum) or fall.  It
+    marks ``col_idx`` and ``values`` read-only; ``row_idx`` stays writable,
+    because ``np.bincount`` is slower on a read-only index.
     """
 
     n_rows: int
     n_cols: int
-    row_ptr: np.ndarray
+    row_idx: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
-    row_idx: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         nnz = len(self.values)
-        row_ptr, col_idx = self.row_ptr, self.col_idx
-        if (row_ptr.shape != (self.n_rows + 1,) or row_ptr[0] != 0 or row_ptr[-1] != nnz
-                or ((counts := np.diff(row_ptr)) < 0).any()):
-            raise ValueError(f"row_ptr must rise from 0 to {nnz} in {self.n_rows + 1} entries")
+        row_idx, col_idx = self.row_idx, self.col_idx
+        for name, index in ("row_idx", row_idx), ("col_idx", col_idx):
+            if index.dtype.kind not in "iu" or not np.can_cast(index.dtype, np.intp):
+                raise ValueError(f"{name} must hold integers, got dtype {index.dtype}")
+        if row_idx.shape != (nnz,):
+            raise ValueError(f"row_idx must hold {nnz} indices, got shape {row_idx.shape}")
         if (col_idx.shape != (nnz,)
                 or nnz and not 0 <= col_idx.min() <= col_idx.max() < self.n_cols):
             raise ValueError(f"col_idx must hold {nnz} indices in [0, {self.n_cols})")
-        row_idx = np.repeat(np.arange(self.n_rows), counts)
-        unsorted = np.flatnonzero((row_idx[1:] == row_idx[:-1]) & (col_idx[1:] <= col_idx[:-1]))
+        step = np.diff(row_idx)
+        unsorted = np.flatnonzero((step < 0) | (step == 0) & (col_idx[1:] <= col_idx[:-1]))
         if unsorted.size:
             i = unsorted[0] + 1
-            if col_idx[i] == col_idx[i - 1]:
-                raise ValueError(f"duplicate coordinate ({row_idx[i]}, {col_idx[i]})")
-            raise ValueError(f"row {row_idx[i]} has its columns out of order")
-        for array in (row_ptr, col_idx, self.values):
+            row, col = row_idx[i], col_idx[i]
+            if row < row_idx[i - 1]:
+                raise ValueError(f"row {row} follows row {row_idx[i - 1]}: rows must not fall")
+            if col == col_idx[i - 1]:
+                raise ValueError(f"duplicate coordinate ({row}, {col})")
+            raise ValueError(f"row {row} has its columns out of order")
+        if nnz and (row_idx[0] < 0 or row_idx[-1] >= self.n_rows):
+            row = row_idx[0] if row_idx[0] < 0 else row_idx[-1]
+            raise ValueError(f"row {row} is outside [0, {self.n_rows})")
+        for array in (col_idx, self.values):
             array.flags.writeable = False
-        object.__setattr__(self, "row_idx", row_idx)
 
     @property
     def nnz(self):
@@ -82,8 +86,8 @@ class SparseMatrixCSR:
 
     @property
     def nbytes(self):
-        """Bytes held by the four arrays."""
-        return sum(a.nbytes for a in (self.row_ptr, self.col_idx, self.values, self.row_idx))
+        """Bytes held by the three arrays."""
+        return sum(a.nbytes for a in (self.row_idx, self.col_idx, self.values))
 
     def dense(self):
         """The matrix as a dense array, for the reference solver and tests."""
@@ -95,28 +99,18 @@ class SparseMatrixCSR:
 def coo_to_csr(n_rows, n_cols, rows, cols, values):
     """Build a CSR matrix from coordinate triples.
 
-    Entries may arrive in any order; they are sorted by (row, column) and the
-    row pointer is built from the per-row counts.  The three arrays must be
-    of equal length and every row inside ``[0, n_rows)``; the CSR refuses a
-    coordinate given twice or a column outside the matrix.
+    Entries may arrive in any order; they are sorted by (row, column).  The
+    three arrays must be of equal length; the CSR refuses the rest, naming
+    its own arrays: non-integer indices, a row or column outside the matrix,
+    and a coordinate given twice.
     """
     if not len(rows) == len(cols) == len(values):
         raise ValueError(
             f"rows, cols and values must have equal lengths, got "
             f"{len(rows)}, {len(cols)} and {len(values)}"
         )
-    if len(rows) and not 0 <= rows.min() <= rows.max() < n_rows:
-        outside = rows[(rows < 0) | (rows >= n_rows)]
-        raise ValueError(f"row {outside[0]} is outside [0, {n_rows})")
     order = np.lexsort((cols, rows))
-    counts = np.bincount(rows, minlength=n_rows)
-    return SparseMatrixCSR(
-        n_rows=n_rows,
-        n_cols=n_cols,
-        row_ptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int64),
-        col_idx=cols[order],
-        values=values[order],
-    )
+    return SparseMatrixCSR(n_rows, n_cols, rows[order], cols[order], values[order])
 
 
 def to_sparse(matrix):

@@ -99,6 +99,18 @@ class TestParameterEstimates:
         with pytest.raises(ValueError):
             est.observe_connect_time(0.05)
 
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_observation(self, seconds):
+        """A non-finite duration is refused and leaves the estimate as it was;
+        stored, it would make every later ``rho()`` raise."""
+        est = ParameterEstimates(NodeConfig())
+        with pytest.raises(ValueError, match=f"attach duration {seconds} is not finite"):
+            est.observe_connect_time(seconds)
+        assert est.connect_time_hat == 2.0
+        assert est.rho() == 1.0 / 20
+        with pytest.raises(ValueError, match="attach duration 0.05 shorter than one frame"):
+            est.observe_connect_time(0.05)
+
     def test_fuzzed_updates_keep_rows_stochastic(self):
         rng = np.random.default_rng(7)
         est = ParameterEstimates(NodeConfig(), alpha=0.3)

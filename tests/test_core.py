@@ -165,7 +165,7 @@ class TestMdpSpecConstruction:
         rewards[0] = np.nan
         assert spec.rewards[0] == 0.0
         m = spec.transitions
-        for array in (spec.rewards, m.values, m.col_idx, m.row_ptr):
+        for array in (spec.rewards, m.values, m.col_idx):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
         assert_allclose(m.dense().sum(axis=1), 1.0)

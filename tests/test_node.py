@@ -445,8 +445,9 @@ class TestFactoredConstruction:
         config, sigma, rho = model
         got = assemble_stm(config, sigma=sigma, rho=rho)
         want = to_sparse(dense_stm(config, sigma, rho))
-        for name in ("row_ptr", "col_idx", "values", "row_idx"):
+        for name in ("row_idx", "col_idx", "values"):
             assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got.row_idx.dtype == want.row_idx.dtype == np.intp
 
     @settings(max_examples=60, deadline=None)
     @given(node_models())

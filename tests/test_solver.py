@@ -126,15 +126,15 @@ def test_directly_built_specs_agree_with_dense_solver():
     kernels would sum and ``dense()`` would not, is refused; the CSRs that are
     accepted solve to the dense oracle's policy and values."""
     with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
-        SparseMatrixCSR(1, 1, np.array([0, 2]), np.array([0, 0]), np.array([0.5, 0.5]))
-    one_cell = SparseMatrixCSR(1, 1, np.array([0, 1]), np.array([0]), np.array([1.0]))
+        SparseMatrixCSR(1, 1, np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.5]))
+    one_cell = SparseMatrixCSR(1, 1, np.array([0]), np.array([0]), np.array([1.0]))
     specs = [MdpSpec(1, 1, np.array([1.0]), one_cell)]
     rng = np.random.default_rng(23)
     for _ in range(20):
         spec = random_mdp(rng, max_states=30)
         m = spec.transitions
         direct = SparseMatrixCSR(
-            m.n_rows, m.n_cols, m.row_ptr.copy(), m.col_idx.copy(), m.values.copy()
+            m.n_rows, m.n_cols, m.row_idx.copy(), m.col_idx.copy(), m.values.copy()
         )
         specs.append(replace(spec, transitions=direct))
     for spec in specs:

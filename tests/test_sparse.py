@@ -1,7 +1,11 @@
 """The CSR container, the four solver kernels, the greedy policy, and storage accounting."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from compactmdp import (
@@ -23,27 +27,20 @@ class TestConversions:
         csr = to_sparse(np.eye(3))
         assert csr.nnz == 3
         assert_array_equal(csr.row_idx, [0, 1, 2])
+        assert csr.row_idx.dtype == np.intp
         assert_array_equal(csr.col_idx, [0, 1, 2])
         assert_array_equal(csr.values, [1.0, 1.0, 1.0])
 
     def test_all_zero_matrix_is_empty(self):
         csr = to_sparse(np.zeros((2, 2)))
         assert csr.nnz == 0
-        assert_array_equal(csr.row_ptr, [0, 0, 0])
-
-    def test_row_ptr_counts_rows(self):
-        m = np.array([[5.0, 0.0], [0.0, 0.0], [1.0, 2.0]])
-        csr = to_sparse(m)
-        assert_array_equal(csr.row_ptr, [0, 1, 1, 3])
-        assert_array_equal(csr.row_idx, [0, 2, 2])
-        assert_array_equal(csr.col_idx, [0, 0, 1])
-        assert_array_equal(csr.values, [5.0, 1.0, 2.0])
+        assert_array_equal(csr.row_idx, [])
 
     def test_unsorted_coo_input_is_sorted(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
         rows, cols = np.nonzero(m)
         csr = coo_to_csr(2, 2, rows[::-1], cols[::-1], m[rows, cols][::-1])
-        assert_array_equal(csr.row_ptr, [0, 2, 4])
+        assert_array_equal(csr.row_idx, [0, 0, 1, 1])
         assert_array_equal(csr.dense(), m)
 
     def test_duplicate_coordinates_rejected(self):
@@ -55,9 +52,9 @@ class TestConversions:
         with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 0\)"):
             coo_to_csr(2, 2, rows, cols, np.ones(4))
         with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
-            SparseMatrixCSR(1, 1, np.array([0, 2]), np.array([0, 0]), np.array([0.5, 0.5]))
+            SparseMatrixCSR(1, 1, np.array([0, 0]), np.array([0, 0]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=r"duplicate coordinate \(2, 1\)"):
-            SparseMatrixCSR(3, 2, np.array([0, 1, 1, 3]), np.array([1, 1, 1]), np.ones(3))
+            SparseMatrixCSR(3, 2, np.array([0, 2, 2]), np.array([1, 1, 1]), np.ones(3))
 
     def test_coo_triples_of_unequal_length_are_rejected(self):
         """A surplus value or index is refused, not dropped."""
@@ -93,14 +90,10 @@ class TestConversions:
         """The kernels check nothing, so a CSR whose arrays do not fit its
         shape is refused when it is built."""
         good = to_sparse(np.array([[1.0, 0.0], [0.5, 0.5]]))
-        fields = dict(n_rows=2, n_cols=2, row_ptr=good.row_ptr, col_idx=good.col_idx,
+        fields = dict(n_rows=2, n_cols=2, row_idx=good.row_idx, col_idx=good.col_idx,
                       values=good.values)
         assert_array_equal(SparseMatrixCSR(**fields).dense(), good.dense())
         for bad, match in [
-            (dict(n_rows=3), "row_ptr must rise from 0 to 3 in 4 entries"),
-            (dict(row_ptr=np.array([0, 1, 2])), "row_ptr must rise from 0 to 3 in 3 entries"),
-            (dict(row_ptr=np.array([1, 1, 3])), "row_ptr must rise from 0 to 3 in 3 entries"),
-            (dict(row_ptr=np.array([0, 4, 3])), "row_ptr must rise from 0 to 3 in 3 entries"),
             (dict(n_cols=1), r"col_idx must hold 3 indices in \[0, 1\)"),
             (dict(col_idx=np.array([0, 0, -1])), r"col_idx must hold 3 indices in \[0, 2\)"),
             (dict(col_idx=np.array([0, 1])), r"col_idx must hold 3 indices in \[0, 2\)"),
@@ -108,32 +101,58 @@ class TestConversions:
             with pytest.raises(ValueError, match=match):
                 SparseMatrixCSR(**{**fields, **bad})
 
+    def test_construction_rejects_misfit_rows(self):
+        """A row index outside the matrix, or one per entry too few or too
+        many, is refused when the CSR is built."""
+        cols, values = np.array([0, 1]), np.ones(2)
+        for rows, match in [
+            (np.array([0, 2]), r"row 2 is outside \[0, 2\)"),
+            (np.array([-1, 0]), r"row -1 is outside \[0, 2\)"),
+            (np.array([0, 1, 1]), r"row_idx must hold 2 indices, got shape \(3,\)"),
+            (np.array([[0, 1]]), r"row_idx must hold 2 indices, got shape \(1, 2\)"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                SparseMatrixCSR(2, 2, rows, cols, values)
+
+    def test_construction_rejects_falling_rows(self):
+        with pytest.raises(ValueError, match="row 0 follows row 1: rows must not fall"):
+            SparseMatrixCSR(2, 2, np.array([1, 0]), np.array([0, 1]), np.ones(2))
+
+    @pytest.mark.parametrize("dtype", [float, bool, np.uint64])
+    def test_non_integer_indices_are_refused_when_built(self, dtype):
+        """An index array of another dtype is refused by name, not left for
+        the first product (``IndexError``) or ``np.bincount`` (``TypeError``)
+        to trip over."""
+        ints, values = np.array([0, 1]), np.ones(2)
+        bad = np.array([0, 1], dtype=dtype)
+        for rows, cols, name in ((bad, ints, "row_idx"), (ints, bad, "col_idx")):
+            match = rf"{name} must hold integers, got dtype {np.dtype(dtype)}"
+            with pytest.raises(ValueError, match=match):
+                SparseMatrixCSR(2, 2, rows, cols, values)
+            with pytest.raises(ValueError, match=match):
+                coo_to_csr(2, 2, rows, cols, values)
+        with pytest.raises(ValueError, match="col_idx must hold integers, got dtype float64"):
+            SparseMatrixCSR(2, 2, np.array([0, 1, 2]), np.array([0.0, 1.0]), np.ones(2))
+
     def test_construction_rejects_unsorted_rows(self):
         """Each row's columns must rise; ``coo_to_csr`` sorts them so."""
         with pytest.raises(ValueError, match="row 1 has its columns out of order"):
-            SparseMatrixCSR(2, 2, np.array([0, 1, 3]), np.array([0, 1, 0]), np.ones(3))
+            SparseMatrixCSR(2, 2, np.array([0, 1, 1]), np.array([0, 1, 0]), np.ones(3))
         # A column may fall across a row boundary.
-        csr = SparseMatrixCSR(2, 2, np.array([0, 1, 2]), np.array([1, 0]), np.ones(2))
+        csr = SparseMatrixCSR(2, 2, np.array([0, 1]), np.array([1, 0]), np.ones(2))
         assert_array_equal(csr.dense(), [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_row_idx_is_derived_from_row_ptr(self):
-        csr = SparseMatrixCSR(4, 2, np.array([0, 0, 2, 2, 3]), np.array([0, 1, 1]), np.ones(3))
-        assert_array_equal(csr.row_idx, [1, 1, 3])
-        assert csr.row_idx.dtype == np.intp
-        # Writable, because np.bincount would copy a read-only index on every product.
-        assert csr.row_idx.flags.writeable
-        with pytest.raises(TypeError):
-            SparseMatrixCSR(1, 1, np.array([0, 1]), np.array([0]), np.ones(1), np.array([0]))
-
     def test_arrays_are_read_only(self):
-        """The arrays a CSR was checked with cannot change: it marks them
-        read-only.  The conversions hand it fresh arrays, so their own inputs
-        stay writable."""
-        row_ptr, col_idx, values = np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, 1.0])
-        csr = SparseMatrixCSR(2, 2, row_ptr, col_idx, values)
-        for array in (row_ptr, col_idx, values):
+        """The arrays a CSR was checked with cannot change: it marks its
+        columns and values read-only.  The row index stays writable, because
+        np.bincount is slower on a read-only index.  The conversions hand it
+        fresh arrays, so their own inputs stay writable."""
+        row_idx, col_idx, values = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 1.0])
+        csr = SparseMatrixCSR(2, 2, row_idx, col_idx, values)
+        for array in (col_idx, values):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+        assert csr.row_idx.flags.writeable
         assert_array_equal(csr.dense(), [[0.0, 1.0], [1.0, 0.0]])
         matrix = np.eye(2)
         rows, cols, ones = np.array([1, 0]), np.array([1, 0]), np.ones(2)
@@ -141,9 +160,77 @@ class TestConversions:
         coo_to_csr(2, 2, rows, cols, ones)
         assert all(a.flags.writeable for a in (matrix, rows, cols, ones))
 
-    def test_nbytes_counts_the_four_arrays(self):
+    def test_nbytes_counts_the_three_arrays(self):
         csr = to_sparse(np.eye(4))
-        assert csr.nbytes == 8 * (5 + 4 + 4 + 4)
+        assert csr.nbytes == 8 * (4 + 4 + 4)
+
+
+@st.composite
+def coo_triples(draw, valid=False):
+    """Coordinate triples of a small matrix: when not ``valid``, indices may
+    fall up to two outside the matrix and coordinates may repeat."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    margin = 0 if valid else draw(st.sampled_from([0, 2]))
+    coordinate = st.tuples(st.integers(-margin, n_rows - 1 + margin),
+                           st.integers(-margin, n_cols - 1 + margin))
+    coords = draw(st.lists(coordinate, max_size=n_rows * n_cols,
+                           unique=valid or draw(st.booleans())))
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=len(coords), max_size=len(coords)))
+    rows, cols = np.array(coords, dtype=np.intp).reshape(-1, 2).T
+    return n_rows, n_cols, rows.copy(), cols.copy(), np.array(values, dtype=float)
+
+
+class TestConstructionProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(coo_triples(), st.data())
+    def test_coo_to_csr_refuses_a_named_fault_or_matches_the_scatter(self, triples, data):
+        """Any triples either raise one of the documented errors, naming a
+        fault they have, or build the matrix ``np.add.at`` scatters, whose
+        product matches the dense one."""
+        n_rows, n_cols, rows, cols, values = triples
+        inside = (0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols)
+        seen = list(zip(rows.tolist(), cols.tolist()))
+        try:
+            csr = coo_to_csr(n_rows, n_cols, rows, cols, values)
+        except ValueError as error:
+            message = str(error)
+            if m := re.fullmatch(r"row (-?\d+) is outside \[0, (\d+)\)", message):
+                assert int(m[1]) in rows.tolist() and not 0 <= int(m[1]) < n_rows
+                assert int(m[2]) == n_rows
+            elif m := re.fullmatch(r"col_idx must hold (\d+) indices in \[0, (\d+)\)", message):
+                assert int(m[1]) == len(cols) and int(m[2]) == n_cols
+                assert ((cols < 0) | (cols >= n_cols)).any()
+            else:
+                m = re.fullmatch(r"duplicate coordinate \((-?\d+), (-?\d+)\)", message)
+                assert m, message
+                assert seen.count((int(m[1]), int(m[2]))) > 1
+            return
+        assert inside.all() and len(set(seen)) == len(seen)
+        want = np.zeros((n_rows, n_cols))
+        np.add.at(want, (rows, cols), values)
+        assert_array_equal(csr.dense(), want)
+        v = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=n_cols,
+                                        max_size=n_cols)))
+        assert_allclose(sparse_mult(csr, v), csr.dense() @ v, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coo_triples(valid=True))
+    def test_swapping_two_adjacent_entries_is_refused(self, triples):
+        """A valid matrix's entries are in strict (row, column) order, so
+        swapping any neighbours makes a row or a column fall."""
+        csr = coo_to_csr(*triples)
+        arrays = csr.row_idx, csr.col_idx, csr.values
+        for i in range(csr.nnz - 1):
+            swapped = [a.copy() for a in arrays]
+            for a in swapped:
+                a[[i, i + 1]] = a[[i + 1, i]]
+            row, before = swapped[0][i + 1], swapped[0][i]
+            if row < before:
+                match = f"row {row} follows row {before}: rows must not fall"
+            else:
+                match = f"row {row} has its columns out of order"
+            with pytest.raises(ValueError, match=match):
+                SparseMatrixCSR(csr.n_rows, csr.n_cols, *swapped)
 
 
 class TestKernels:
