@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import zlib
 from array import array
 from itertools import repeat
 
@@ -89,8 +88,8 @@ def fold_transitions(rows, alpha, codes):
     """The app-mode rows after blending in the logged transitions, in order.
 
     ``rows`` is the row-major ``(n, n)`` matrix as the bytes of its float64s,
-    ``codes`` the zlib-compressed bytes of an ``array`` of transition codes
-    ``prev * n + next``; the result is new rows, as bytes.  Each transition
+    ``codes`` the bytes of an ``array`` of transition codes ``prev * n +
+    next``; the result is new rows, as bytes.  Each transition
     scales its row by ``1 - alpha``, adds ``alpha`` to the observed
     successor's entry and sums the row, then divides it by the total.  The
     total is summed left to right, which for rows of fewer than 8 modes is
@@ -101,16 +100,13 @@ def fold_transitions(rows, alpha, codes):
     The fold is a pure function of its arguments' bytes, so planners that
     observe one app-mode path, such as a sweep's points at one seed, share
     it through the cache.  Keying on bytes keeps ``-0.0`` and ``0.0`` apart.
-    A path stays in one app mode for long runs, so its codes compress well:
-    an hour of the default scenario's, 36 000 bytes, to 1.7-2.8 kB.  That
-    keeps the cached keys small.
     """
     n = math.isqrt(len(rows) // 8)
     flat = array("d", rows).tolist()
     matrix = [flat[i * n:(i + 1) * n] for i in range(n)]
     steps = [(matrix[code // n], code % n) for code in range(n * n)]
     keep = 1.0 - alpha
-    for code in array(_transition_typecode(n), zlib.decompress(codes)):
+    for code in array(_transition_typecode(n), codes):
         row, next_mode = steps[code]
         total = 0.0
         for j, p in enumerate(row):
@@ -180,8 +176,7 @@ class ParameterEstimates:
         """Blend the logged transitions into ``sigma_hat``, in order, and
         clear the log."""
         if self._transitions:
-            codes = zlib.compress(self._transitions, 1)
-            self._rows = fold_transitions(self._rows, self.alpha, codes)
+            self._rows = fold_transitions(self._rows, self.alpha, self._transitions.tobytes())
             del self._transitions[:]
 
     def observe_connect_time(self, seconds):

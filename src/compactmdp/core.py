@@ -42,9 +42,12 @@ class ConvergenceError(RuntimeError):
     """Raised when value iteration reaches :data:`MAX_ITERATIONS` before converging."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MdpSpec:
     """A finite MDP in stacked action-major form.
+
+    Checked when it is built, and when a pickle of it is loaded; equality
+    and hashing go by identity.
 
     Attributes
     ----------
@@ -92,6 +95,10 @@ class MdpSpec:
         rewards.flags.writeable = False
         object.__setattr__(self, "rewards", rewards)
         validate(self)
+
+    def __reduce__(self):
+        fields = self.rewards, self.transitions, self.discount, self.tolerance
+        return MdpSpec, (self.n_states, self.n_actions, *fields)
 
 
 def stochastic_problems(rows, values, n_rows, name):

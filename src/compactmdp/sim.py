@@ -117,10 +117,10 @@ class Scenario:
 
     Each change, applied in time order on top of the earlier ones, must leave a
     valid node; ``_steps`` keeps that walk as ``[(first frame, config), ...]``.
-    ``_trace`` is the scenario's exogenous sample path, drawn on first use and
-    then shared by every run of the scenario, and ``_still`` its still-run
-    array (:func:`_still_runs`), built from it on first use; a pickled
-    scenario leaves both out and builds them again.
+    ``_trace`` is the scenario's exogenous record (:func:`_exogenous_trace`),
+    its app-mode path, arrivals and still-run array, drawn on first use and
+    then shared by every run of the scenario; a pickled scenario leaves it
+    out and draws it again.
     """
 
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -148,14 +148,9 @@ class Scenario:
     def _trace(self):
         return _exogenous_trace(self.seed, self.duration_frames, self._steps)
 
-    @cached_property
-    def _still(self):
-        return _still_runs(*self._trace)
-
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_trace", None)
-        state.pop("_still", None)
         return state
 
     @property
@@ -193,10 +188,11 @@ class SimMetrics:
 def _exogenous_trace(seed, frames, steps):
     """The controller-independent part of a scenario's runs, drawn at once.
 
-    Returns ``(app_path, arrivals)``: ``app_path[f]`` is the app mode during
-    frame ``f`` (``frames + 1`` entries, starting in mode 0) and
-    ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``.
-    Both hold one byte per frame (the path for up to 256 modes).  ``steps``
+    Returns ``(app_path, arrivals, still)``: ``app_path[f]`` is the app mode
+    during frame ``f`` (``frames + 1`` entries, starting in mode 0),
+    ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``,
+    and ``still`` is the path's still-run array (:func:`_still_runs`).  All
+    three hold one byte per frame (the path for up to 256 modes).  ``steps``
     is a scenario's ``_steps``; only their ``app_transition`` and
     ``app_packet_prob`` matter here.
     """
@@ -238,22 +234,24 @@ def _exogenous_trace(seed, frames, steps):
     for start, end, config in segments:
         packet_prob = np.asarray(config.app_packet_prob, dtype=float)
         arrivals[start:end] = u_arrival[start:end] < packet_prob[path[start:end]]
-    return app_path, arrivals.tobytes()
+    del u_arrival  # freed, as u_mode is, before the still runs are built
+    return app_path, arrivals.tobytes(), _still_runs(path, arrivals)
 
 
-def _still_runs(app_path, arrivals):
+def _still_runs(path, arrivals):
     """How many still frames start at each frame, capped at 255, as bytes.
 
-    Frame ``f`` is still when no packet arrives in it and the app mode stays,
-    ``app_path[f + 1] == app_path[f]``.  Entry ``f`` of the result counts the
-    still frames ``f, f + 1, ...`` before the first that is not; entry
-    ``frames`` is 0.  One byte a frame, built in place by doubling: after the
-    pass with shift ``d`` each entry is its run capped at ``2 d``.
+    ``path`` and ``arrivals`` are the app-mode path and the boolean arrivals
+    as numpy arrays.  Frame ``f`` is still when no packet arrives in it and
+    the app mode stays, ``path[f + 1] == path[f]``.  Entry ``f`` of the
+    result counts the still frames ``f, f + 1, ...`` before the first that
+    is not; entry ``frames`` is 0.  One byte a frame, built in place by
+    doubling: after the pass with shift ``d`` each entry is its run capped
+    at ``2 d``.
     """
-    path = np.asarray(app_path)
     runs = np.zeros(len(path), dtype=np.uint8)
     np.equal(path[1:], path[:-1], out=runs[:-1].view(bool))
-    np.copyto(runs[:-1], 0, where=np.frombuffer(arrivals, dtype=bool))
+    np.copyto(runs[:-1], 0, where=arrivals)
     for shift in (1, 2, 4, 8, 16, 32, 64, 128):
         head = runs[:-shift]
         # The last pass adds at most 127, so no entry passes 255.
@@ -285,8 +283,8 @@ def simulate(scenario, controller):
     once for the number ``j`` in ``[0, k]`` it holds, which must leave the
     controller as ``j`` frames of ``act(s) -> action`` and ``observe(s,
     action, reward, s)`` would; it adds the frame's energy and reward ``j``
-    times, in order, and jumps ``j`` frames ahead.  The scenario's
-    ``_still`` array counts the still frames ahead.
+    times, in order, and jumps ``j`` frames ahead.  The still-run array of
+    the scenario's record counts the still frames ahead.
 
     A controller keeps its state across runs (Q-table and
     epsilon, the planner's estimates and re-solve clock), so a second run
@@ -312,7 +310,7 @@ def simulate(scenario, controller):
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
     steps = scenario._steps
-    app_path, arrivals = scenario._trace
+    app_path, arrivals, still = scenario._trace
 
     frame_period = config.frame_period
     nq = config.queue_states
@@ -366,7 +364,7 @@ def simulate(scenario, controller):
 
     # Each frame's index, arrival and next app mode, and the still frames
     # after it.
-    stepped = zip(range(frames), arrivals, app_path[1:], memoryview(scenario._still)[1:])
+    stepped = zip(range(frames), arrivals, app_path[1:], memoryview(still)[1:])
     for frame, arrived, app, ahead in stepped:
         action = act(s)
 

@@ -31,9 +31,10 @@ from .core import validate  # noqa: F401
 from .sparse import coo_to_csr, to_sparse  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Converged solution plus cost counters.
+    """Converged solution plus cost counters; equality and hashing go by
+    identity.
 
     ``kernel_op_count`` is the multiply-accumulate tally of the sparse
     products (``iterations * k_nz``).

@@ -34,7 +34,7 @@ import numpy as np
 VALUE_BYTES = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrixCSR:
     """Sparse matrix as row-sorted coordinates, valid by construction.
 
@@ -44,7 +44,9 @@ class SparseMatrixCSR:
     outside the matrix, a row that falls, and a row whose columns repeat
     (``dense()`` would keep one value, the kernels their sum) or fall.  It
     marks ``col_idx`` and ``values`` read-only; ``row_idx`` stays writable,
-    because ``np.bincount`` is slower on a read-only index.
+    because ``np.bincount`` is slower on a read-only index.  A pickle is
+    loaded through the constructor, so it is checked and marked again.
+    Equality and hashing go by identity.
     """
 
     n_rows: int
@@ -79,6 +81,9 @@ class SparseMatrixCSR:
             raise ValueError(f"row {row} is outside [0, {self.n_rows})")
         for array in (col_idx, self.values):
             array.flags.writeable = False
+
+    def __reduce__(self):
+        return SparseMatrixCSR, (self.n_rows, self.n_cols, self.row_idx, self.col_idx, self.values)
 
     @property
     def nnz(self):

@@ -1,6 +1,7 @@
 """Controllers: TD estimation, threshold rule, structured learner, Q-learning."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -612,6 +613,22 @@ class TestFoldedEstimates:
             info = controllers.fold_transitions.cache_info()
             assert (info.hits, info.misses) == (expected_hits, 1)
             assert np.array_equal(float_bits(estimates.sigma_hat), float_bits(rows))
+
+    @pytest.mark.parametrize("n_modes, typecode", [(2, "B"), (17, "L")])
+    def test_the_fold_reads_the_raw_log(self, n_modes, typecode):
+        """``fold_transitions`` takes the log's own bytes as its key."""
+        last = n_modes - 1
+        log = [(0, 0), (0, 1), (1, 1), (1, 0), (last, last), (last, 0), (0, last), (1, 1)]
+        config = random_estimates_config(np.random.default_rng(70 + n_modes), n_modes)
+        rows = [list(row) for row in config.app_transition]
+        for prev_mode, next_mode in log:
+            row_formula_observe(rows, 0.25, prev_mode, next_mode)
+        assert controllers._transition_typecode(n_modes) == typecode
+        codes = array(typecode, [prev_mode * n_modes + next_mode
+                                 for prev_mode, next_mode in log]).tobytes()
+        prior = np.asarray(config.app_transition, dtype=float).tobytes()
+        folded = controllers.fold_transitions(prior, 0.25, codes)
+        assert np.array_equal(np.frombuffer(folded).view(np.int64), float_bits(rows).ravel())
 
     def test_a_negative_zero_keeps_its_bits(self):
         transitions = [(0, 0), (1, 0), (1, 1), (0, 0)]

@@ -1,12 +1,13 @@
 """Core MDP container, its construction checks, and the dense reference solver."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from compactmdp import MdpSpec, NodeConfig, core, dense_value_iteration, to_sparse
+from compactmdp import MdpSpec, NodeConfig, build_mdp, core, dense_value_iteration, to_sparse
 from compactmdp.core import ConvergenceError, validate
 
 from support import random_mdp
@@ -169,3 +170,26 @@ class TestMdpSpecConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 2.0
         assert_allclose(m.dense().sum(axis=1), 1.0)
+
+    def test_a_pickled_spec_is_built_again(self):
+        """Loading a pickle goes through the constructors, so the loaded
+        spec is checked and read-only like the one that was pickled."""
+        spec = build_mdp(NodeConfig())
+        loaded = pickle.loads(pickle.dumps(spec))
+        m = loaded.transitions
+        for array in (loaded.rewards, m.values, m.col_idx):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        assert np.array_equal(loaded.rewards, spec.rewards)
+        for name in ("row_idx", "col_idx", "values"):
+            assert np.array_equal(getattr(m, name), getattr(spec.transitions, name))
+        assert (loaded.n_states, loaded.n_actions, loaded.discount, loaded.tolerance) == (
+            spec.n_states, spec.n_actions, spec.discount, spec.tolerance)
+
+    def test_a_spec_changed_after_it_was_built_is_refused_when_loaded(self):
+        spec = build_mdp(NodeConfig())
+        rewards = spec.rewards.copy()
+        rewards[3] = np.nan
+        object.__setattr__(spec, "rewards", rewards)
+        with pytest.raises(ValueError, match=r"^invalid MDP: rewards are not finite at rows \[3\]$"):
+            pickle.loads(pickle.dumps(spec))

@@ -79,11 +79,12 @@ SERIES = (("on-off", 1), ("on-off", 4), ("mdp", 3.0), ("mdp", 100.0), ("ql", 5.0
 
 
 class TestStillRuns:
-    """``Scenario._still`` counts the still frames from each frame on."""
+    """The still-run array of ``Scenario._trace`` counts the still frames
+    from each frame on."""
 
     @staticmethod
     def reference(scenario):
-        app_path, arrivals = scenario._trace
+        app_path, arrivals, _ = scenario._trace
         frames = scenario.duration_frames
         runs = [0] * (frames + 1)
         for f in reversed(range(frames)):
@@ -93,14 +94,14 @@ class TestStillRuns:
 
     def test_the_default_scenario_with_its_drifts(self):
         scenario = replace(load_scenario(), duration_frames=60000, seed=5)
-        still = scenario._still
+        still = scenario._trace[2]
         assert type(still) is bytes and len(still) == 60001
         assert still == self.reference(scenario)
         assert 0 < still.count(0) < 60000
 
     def test_runs_longer_than_the_cap_read_255(self):
         node = NodeConfig(app_packet_prob=(0.0, 0.0), app_transition=((1.0, 0.0), (0.0, 1.0)))
-        still = Scenario(node=node, duration_frames=1000)._still
+        still = Scenario(node=node, duration_frames=1000)._trace[2]
         assert list(still) == [255] * (1000 - 254) + list(range(254, -1, -1))
 
     def test_a_path_of_more_than_256_modes(self):
@@ -113,14 +114,14 @@ class TestStillRuns:
         node = NodeConfig(app_transition=sigma, app_packet_prob=(0.01,) * n, queue_states=2)
         scenario = Scenario(node=node, duration_frames=3000, seed=2)
         assert np.asarray(scenario._trace[0]).dtype == np.intp
-        assert scenario._still == self.reference(scenario)
+        assert scenario._trace[2] == self.reference(scenario)
 
     def test_a_pickled_scenario_leaves_it_out_and_builds_it_again(self):
         scenario = replace(load_scenario(), duration_frames=5000)
-        still = scenario._still
+        still = scenario._trace[2]
         state = scenario.__getstate__()
-        assert "_still" not in state and "_trace" not in state
-        assert pickle.loads(pickle.dumps(scenario))._still == still
+        assert "_trace" not in state
+        assert pickle.loads(pickle.dumps(scenario))._trace[2] == still
 
 
 class TestEachControllersHold:

@@ -307,7 +307,7 @@ def reference_simulate(scenario, controller):
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
     steps = scenario._steps
-    app_path, arrivals = scenario._trace
+    app_path, arrivals, _ = scenario._trace
 
     frame_period = config.frame_period
     nq = config.queue_states

@@ -184,6 +184,23 @@ def test_deterministic_rerun_is_bitwise_identical():
     assert a.iterations == b.iterations
 
 
+@pytest.mark.parametrize("make", [
+    lambda spec: spec.transitions,
+    lambda spec: spec,
+    svi_solve,
+], ids=["SparseMatrixCSR", "MdpSpec", "SolveResult"])
+def test_equality_and_hashing_go_by_identity(make):
+    """Two containers built from equal inputs answer ``==`` and ``hash``
+    (numpy's elementwise ``==`` would leave a field-by-field comparison no
+    single truth value); each equals only itself."""
+    node = NodeConfig()
+    a, b = make(build_mdp(node)), make(build_mdp(node))
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_rejects_invalid_rows():
     """The spec refuses the rows when it is built, so no solver sees them."""
     with pytest.raises(ValueError, match="row 0"):

@@ -1,5 +1,6 @@
 """The CSR container, the four solver kernels, the greedy policy, and storage accounting."""
 
+import pickle
 import re
 
 import numpy as np
@@ -159,6 +160,17 @@ class TestConversions:
         to_sparse(matrix)
         coo_to_csr(2, 2, rows, cols, ones)
         assert all(a.flags.writeable for a in (matrix, rows, cols, ones))
+
+    def test_a_pickle_is_loaded_through_the_constructor(self):
+        csr = to_sparse(np.array([[0.0, 2.0], [3.0, 0.0]]))
+        loaded = pickle.loads(pickle.dumps(csr))
+        assert_array_equal(loaded.dense(), csr.dense())
+        for array in (loaded.col_idx, loaded.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        object.__setattr__(csr, "values", np.ones(3))
+        with pytest.raises(ValueError, match=r"^row_idx must hold 3 indices, got shape \(2,\)$"):
+            pickle.loads(pickle.dumps(csr))
 
     def test_nbytes_counts_the_three_arrays(self):
         csr = to_sparse(np.eye(4))
