@@ -116,7 +116,8 @@ class Scenario:
     """A node config plus run length (>= 1 frame), seed (>= 0), and schedule.
 
     Each change, applied in time order on top of the earlier ones, must leave a
-    valid node; ``_steps`` keeps that walk as ``[(first frame, config), ...]``.
+    valid node; ``_segments`` keeps that walk clipped to the run, with no
+    empty segment, as ``((first frame, end frame, config), ...)``.
     ``_trace`` is the scenario's exogenous record (:func:`_exogenous_trace`),
     its app-mode path, arrivals and still-run array, drawn on first use and
     then shared by every run of the scenario; a pickled scenario leaves it
@@ -142,11 +143,13 @@ class Scenario:
                 message = f"schedule change at {change.time:g} s ({change.parameter}): {exc}"
                 raise ScheduleError(index, message) from exc
             steps.append((floor_frames(change.time, config.frame_period), config))
-        object.__setattr__(self, "_steps", tuple(steps))
+        ends = [min(at, self.duration_frames) for at, _ in steps[1:]] + [self.duration_frames]
+        segments = tuple((at, end, c) for (at, c), end in zip(steps, ends) if at < end)
+        object.__setattr__(self, "_segments", segments)
 
     @cached_property
     def _trace(self):
-        return _exogenous_trace(self.seed, self.duration_frames, self._steps)
+        return _exogenous_trace(self.seed, self._segments)
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -185,49 +188,38 @@ class SimMetrics:
     solver_kernel_ops: int
 
 
-def _exogenous_trace(seed, frames, steps):
+def _exogenous_trace(seed, segments):
     """The controller-independent part of a scenario's runs, drawn at once.
 
     Returns ``(app_path, arrivals, still)``: ``app_path[f]`` is the app mode
     during frame ``f`` (``frames + 1`` entries, starting in mode 0),
     ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``,
     and ``still`` is the path's still-run array (:func:`_still_runs`).  All
-    three hold one byte per frame (the path for up to 256 modes).  ``steps``
-    is a scenario's ``_steps``; only their ``app_transition`` and
-    ``app_packet_prob`` matter here.
+    three hold one byte per frame (the path for up to 256 modes).
+    ``segments`` is a scenario's ``_segments``; only their ``app_transition``
+    and ``app_packet_prob`` matter here.  The path is walked one
+    ``bisect_right`` a frame, of the draw into the mode's cumulative row,
+    whose last entry is +inf so that a draw beyond the row's rounded total
+    lands in the last mode: the comparisons of ``np.searchsorted``.
     """
-    ends = [at for at, _ in steps[1:]] + [frames]
-    segments = [
-        (start, min(end, frames), config)
-        for (start, config), end in zip(steps, ends)
-        if start < min(end, frames)
-    ]
-    n_modes = steps[0][1].n_app_modes
+    frames = segments[-1][1]
+    n_modes = segments[0][2].n_app_modes
     dtype = np.uint8 if n_modes <= 256 else np.intp
     rng = np.random.default_rng(seed)
 
-    # Successor of every mode in every frame: one vectorised search per mode
-    # and segment, the same comparisons a per-frame search would make.  The
-    # last cumulative sum is +inf, so a draw beyond a row's rounded total
-    # lands in the last mode.
     u_mode = rng.random(frames)
-    successor = np.empty((n_modes, frames), dtype=dtype)
+    draws = memoryview(u_mode)
+    path = np.zeros(frames + 1, dtype=dtype)
+    app_path = memoryview(path)
+    app = 0
     for start, end, config in segments:
         cum_sigma = np.cumsum(np.asarray(config.app_transition, dtype=float), axis=1)
         cum_sigma[:, -1] = np.inf
-        for mode in range(n_modes):
-            successor[mode, start:end] = np.searchsorted(
-                cum_sigma[mode], u_mode[start:end], side="right"
-            )
-    del u_mode  # keeps one float array alive at a time, not two
-
-    path = np.zeros(frames + 1, dtype=dtype)
-    app_path = memoryview(path)
-    next_mode = [memoryview(row) for row in successor]
-    app = 0
-    for frame in range(frames):
-        app = next_mode[app][frame]
-        app_path[frame + 1] = app
+        rows = cum_sigma.tolist()
+        for frame, draw in zip(range(start + 1, end + 1), draws[start:end]):
+            app = bisect_right(rows[app], draw)
+            app_path[frame] = app
+    del draws, u_mode  # keeps one float array alive at a time, not two
 
     u_arrival = rng.random(frames)
     arrivals = np.empty(frames, dtype=bool)
@@ -296,6 +288,8 @@ def simulate(scenario, controller):
     The loop reads the reward from a table built before frame 0 with the
     frame-reward expression, ``w_current * amps[modem] + w_tx * n_tx +
     w_drop * n_drop``, so its bits are those of evaluating it every frame.
+    An attach takes the frames of the ``connect_time`` in force, by the
+    scenario's ``_segments``, in the frame it starts.
     """
     config = scenario.node
     frames = scenario.duration_frames
@@ -309,7 +303,7 @@ def simulate(scenario, controller):
             f"the scenario's node has {config.n_states} ({config.n_app_modes} x "
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
-    steps = scenario._steps
+    segments = scenario._segments
     app_path, arrivals, still = scenario._trace
 
     frame_period = config.frame_period
@@ -320,9 +314,9 @@ def simulate(scenario, controller):
     w_current, w_tx, w_drop = built.reward_weights
     amps = [c * 1e-3 for c in config.currents_ma]
     frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
-    # Attach length in frames for the connect_time in force at each step.
-    step_frames = [at for at, _ in steps]
-    attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
+    # Attach length in frames for the connect_time in force in each segment.
+    step_frames = [start for start, _, _ in segments]
+    attach_lengths = [floor_frames(c.connect_time, frame_period) for _, _, c in segments]
 
     def reward(modem, n_tx, n_drop):
         return w_current * amps[modem] + w_tx * n_tx + w_drop * n_drop
@@ -540,8 +534,9 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
     are built and the run options checked (:func:`check_run_options`) before
     the first run, so a bad grid value or option fails before any
     simulation.  The runs go seed by seed, every point at one seed before
-    the next seed; each point's means take its runs in seed order.  Returns
-    the :class:`SweepPoint` list, series by series.
+    the next seed, and drop that seed's scenario and record after them;
+    each point's means take its runs in seed order.  Returns the
+    :class:`SweepPoint` list, series by series.
     """
     if len(seeds) < 1:
         raise ValueError("a sweep needs at least one seed")
@@ -557,10 +552,10 @@ def pareto_sweep(scenario, series=SERIES_LABELS, r2_values=R2_SWEEP,
     check_run_options(scenario.node, **controller_kwargs)
     # Seed by seed: the planners at one seed observe one app-mode path, so
     # they share its estimate folds while the fold cache still holds them.
-    runs = [
-        [simulate(seeded, controllers[i]) for _, _, controllers in grid]
-        for i, seeded in enumerate(scenarios)
-    ]
+    runs = []
+    for i in range(len(seeds)):
+        seeded, scenarios[i] = scenarios[i], None
+        runs.append([simulate(seeded, controllers[i]) for _, _, controllers in grid])
     points = []
     for (label, value, _), point_runs in zip(grid, zip(*runs)):
         means = {

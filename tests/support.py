@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from compactmdp import ACTION_ON, MdpSpec, to_sparse
+from compactmdp import ACTION_ON, MdpSpec, NodeConfig, to_sparse
 from compactmdp.node import M_CONNECTED, N_ACTIONS, N_MODEM_STATES, modem_stm, rho_from_connect_time
 
 
@@ -30,6 +30,17 @@ def random_mdp(rng, max_states=50, max_actions=4, sparsity=(0.5, 0.99)):
         discount=float(rng.uniform(0.8, 0.97)),
         tolerance=1e-6,
     )
+
+
+def sticky_node(n_modes, seed=1):
+    """A node of ``n_modes`` app modes that stay put with probability about
+    0.95, each emitting a packet with probability 0.01, and 2 queue levels."""
+    rng = np.random.default_rng(seed)
+    sigma = np.full((n_modes, n_modes), 0.05 / (n_modes - 1))
+    np.fill_diagonal(sigma, 0.95)
+    sigma += rng.random((n_modes, n_modes)) * 1e-6
+    sigma /= sigma.sum(axis=1, keepdims=True)
+    return NodeConfig(app_transition=sigma, app_packet_prob=(0.01,) * n_modes, queue_states=2)
 
 
 def dense_queue_stm(config, modem_next):

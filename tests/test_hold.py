@@ -33,7 +33,7 @@ from compactmdp import (
 )
 from compactmdp import controllers
 from compactmdp.core import ConvergenceError
-from support import controller_state, never_holding
+from support import controller_state, never_holding, sticky_node
 from test_sim import REFERENCE_NODES, reference_controllers, reference_scenario
 
 
@@ -105,14 +105,7 @@ class TestStillRuns:
         assert list(still) == [255] * (1000 - 254) + list(range(254, -1, -1))
 
     def test_a_path_of_more_than_256_modes(self):
-        rng = np.random.default_rng(1)
-        n = 257
-        sigma = np.full((n, n), 0.05 / (n - 1))
-        np.fill_diagonal(sigma, 0.95)
-        sigma += rng.random((n, n)) * 1e-6
-        sigma /= sigma.sum(axis=1, keepdims=True)
-        node = NodeConfig(app_transition=sigma, app_packet_prob=(0.01,) * n, queue_states=2)
-        scenario = Scenario(node=node, duration_frames=3000, seed=2)
+        scenario = Scenario(node=sticky_node(257), duration_frames=3000, seed=2)
         assert np.asarray(scenario._trace[0]).dtype == np.intp
         assert scenario._trace[2] == self.reference(scenario)
 

@@ -1,9 +1,12 @@
 """Frame-stepped simulator, sweep harness, and MCU power model."""
 
 import csv
+import gc
 import io
 import math
 import pickle
+import tracemalloc
+import weakref
 from bisect import bisect_right
 from collections import deque
 from dataclasses import replace
@@ -50,7 +53,7 @@ from compactmdp.sim import (
     SWEEP_CSV_COLUMNS,
     SimMetrics,
 )
-from support import AlwaysOnController, NeverHolds, controller_state
+from support import AlwaysOnController, NeverHolds, controller_state, sticky_node
 
 QUIET = NodeConfig(app_packet_prob=(0.0, 0.0))
 
@@ -306,7 +309,6 @@ def reference_simulate(scenario, controller):
             f"the scenario's node has {config.n_states} ({config.n_app_modes} x "
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
-    steps = scenario._steps
     app_path, arrivals, _ = scenario._trace
 
     frame_period = config.frame_period
@@ -317,9 +319,14 @@ def reference_simulate(scenario, controller):
     w_current, w_tx, w_drop = built.reward_weights
     amps = [c * 1e-3 for c in config.currents_ma]
     frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
-    # Attach length in frames for the connect_time in force at each step.
+    # Attach length in frames for the connect_time in force at each step,
+    # read from the schedule itself.
+    steps = [(0, config.connect_time)]
+    for change in sorted(scenario.schedule, key=lambda change: change.time):
+        connect_time = change.value if change.parameter == "connect_time" else steps[-1][1]
+        steps.append((floor_frames(change.time, frame_period), connect_time))
     step_frames = [at for at, _ in steps]
-    attach_lengths = [floor_frames(c.connect_time, frame_period) for _, c in steps]
+    attach_lengths = [floor_frames(t, frame_period) for _, t in steps]
     act = controller.act
     observe = controller.observe
     solves_before = getattr(controller, "solve_count", 0)
@@ -733,9 +740,94 @@ class TestSweep:
             for name, _ in SWEEP_AVERAGES:
                 assert getattr(point, name) == float(np.mean([getattr(r, name) for r in runs]))
 
+    def test_a_seed_below_zero_fails_before_any_run(self, monkeypatch):
+        def unreachable(scenario, controller):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(sim, "simulate", unreachable)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            pareto_sweep(Scenario(duration_frames=10), series=("on-off",), nq_values=[3],
+                         seeds=(0, -1))
+
+    def test_a_seeds_scenario_is_freed_before_the_next_seed_runs(self, monkeypatch):
+        """So the sweep keeps one seed's exogenous record at a time."""
+        run_one, first, freed = sim.simulate, [], []
+
+        def watching(scenario, controller):
+            if scenario.seed == 0 and not first:
+                first.append(weakref.ref(scenario))
+            elif scenario.seed == 1 and not freed:
+                gc.collect()
+                freed.append(first[0]() is None)
+            return run_one(scenario, controller)
+
+        monkeypatch.setattr(sim, "simulate", watching)
+        pareto_sweep(Scenario(duration_frames=300), series=("on-off",), nq_values=[2, 3],
+                     seeds=(0, 1))
+        assert freed == [True]
+
     def test_sweep_default_decay_is_applied(self):
         controller = make_controller("ql", NodeConfig(), 5.0, seed=0)
         assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
+
+
+def reference_app_path(scenario):
+    """The app-mode path of ``scenario``, one ``np.searchsorted`` a frame of
+    its draw in the cumulative row, by the ``app_transition`` the schedule
+    has in force, of the mode the frame leaves."""
+    node, frames = scenario.node, scenario.duration_frames
+    steps = [(0, node.app_transition)]
+    for change in sorted(scenario.schedule, key=lambda change: change.time):
+        sigma = change.value if change.parameter == "app_transition" else steps[-1][1]
+        steps.append((floor_frames(change.time, node.frame_period), sigma))
+    starts, cumulative = [at for at, _ in steps], []
+    for _, sigma in steps:
+        rows = np.cumsum(np.asarray(sigma, dtype=float), axis=1)
+        rows[:, -1] = np.inf
+        cumulative.append(rows)
+    draws = np.random.default_rng(scenario.seed).random(frames)
+    path = [0]
+    for frame in range(frames):
+        rows = cumulative[bisect_right(starts, frame) - 1]
+        path.append(int(np.searchsorted(rows[path[-1]], draws[frame], side="right")))
+    return path
+
+
+#: Scenarios of 3, 5 and 257 app modes.  The first two change their
+#: ``app_transition`` mid-run, to rows with zero entries, so that two
+#: cumulative entries tie; the 5-mode one also has a change at 0 s, one
+#: overtaken in its own frame and one past the end.
+PATH_SCENARIOS = {
+    "3-modes": Scenario(
+        node=NodeConfig(
+            app_transition=((0.9, 0.1, 0.0), (0.05, 0.9, 0.05), (0.0, 0.2, 0.8)),
+            app_packet_prob=(0.1, 0.3, 0.6),
+        ),
+        duration_frames=3000,
+        seed=4,
+        schedule=(ScheduleChange(
+            100.0, "app_transition", ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5))
+        ),),
+    ),
+    "5-modes": Scenario(
+        node=sticky_node(5, seed=3),
+        duration_frames=3000,
+        seed=7,
+        schedule=(
+            ScheduleChange(0.0, "app_packet_prob", (0.2, 0.0, 0.4, 0.1, 0.9)),
+            ScheduleChange(120.0, "app_transition", sticky_node(5, seed=8).app_transition),
+            ScheduleChange(120.04, "app_transition", (
+                (0.6, 0.0, 0.0, 0.2, 0.2),
+                (0.0, 0.7, 0.3, 0.0, 0.0),
+                (0.25, 0.25, 0.0, 0.0, 0.5),
+                (0.0, 0.0, 0.1, 0.9, 0.0),
+                (0.3, 0.0, 0.0, 0.0, 0.7),
+            )),
+            ScheduleChange(1e6, "app_transition", sticky_node(5, seed=9).app_transition),
+        ),
+    ),
+    "257-modes": Scenario(node=sticky_node(257), duration_frames=3000, seed=2),
+}
 
 
 class TestSharedTrace:
@@ -763,6 +855,28 @@ class TestSharedTrace:
         restored = pickle.loads(pickle.dumps(scenario))
         assert restored == scenario
         assert simulate(restored, ThresholdController(NodeConfig(), 2)) == first
+
+    @pytest.mark.parametrize("name", sorted(PATH_SCENARIOS))
+    def test_the_app_path_is_a_per_frame_search(self, name):
+        scenario = PATH_SCENARIOS[name]
+        app_path = scenario._trace[0]
+        expected = reference_app_path(scenario)
+        assert app_path.tolist() == expected
+        assert len(set(expected)) > 2
+
+    def test_a_record_is_built_in_few_bytes_a_frame(self):
+        """No stage of the build grows with the mode count: at 64 modes the
+        peak stays under 40 bytes a frame, the record included."""
+        node, frames = sticky_node(64), 50000
+        Scenario(node=node, duration_frames=100)._trace
+        scenario = Scenario(node=node, duration_frames=frames, seed=1)
+        tracemalloc.start()
+        try:
+            scenario._trace
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * frames
 
 
 class TestPowerModel:
