@@ -375,6 +375,7 @@ class QLearningController:
 
     def _draw_block(self):
         rng = self.rng
+        # A snapshot: PCG64.advance would drop the 32-bit half integers() keeps buffered.
         self._block_state = rng.bit_generator.state
         self._uniforms = rng.random(EXPLORATION_BLOCK)[::-1].tolist()
         return self._uniforms

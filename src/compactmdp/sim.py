@@ -12,14 +12,15 @@ Scenarios can change the true environment parameters mid-run (attach delay,
 app-mode statistics, packet probabilities) through a piecewise-constant
 schedule, which is what makes runtime learning worth measuring.  The
 environment's randomness does not depend on the controller, so a scenario
-draws its whole app-mode and arrival path once, on its first run, and every
-run on it (all of a sweep's points at one seed) reads that one path.  The
-frame loop walks the path by iteration, and takes each frame's reward from a
-table built before frame 0 with the frame-reward expression.  It calls the
-controller once a frame or holds the frame: over a stretch of still frames
-(no arrival, no app-mode change) in which the controller keeps the modem
-where it is, one ``hold`` call stands for every frame it holds, and the loop
-jumps over them.
+draws its whole app-mode and arrival path once, on its first run, and keeps
+it as the list of its events (the frames with an arrival or an app-mode
+change); every run on it (all of a sweep's points at one seed) reads that
+one list.  The frame loop keeps one pointer to the next event, and takes
+each frame's reward from a table built before frame 0 with the frame-reward
+expression.  It calls the controller once a frame or holds the frame: over
+the still frames before the next event, in which the controller keeps the
+modem where it is, one ``hold`` call stands for every frame it holds, and
+the loop jumps over them.
 
 A :class:`Scenario` is checked once, when it is built, like its ``NodeConfig``.
 Every controller carries the ``config`` it was built for, and :func:`simulate`
@@ -41,7 +42,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -119,9 +119,9 @@ class Scenario:
     valid node; ``_segments`` keeps that walk clipped to the run, with no
     empty segment, as ``((first frame, end frame, config), ...)``.
     ``_trace`` is the scenario's exogenous record (:func:`_exogenous_trace`),
-    its app-mode path, arrivals and still-run array, drawn on first use and
-    then shared by every run of the scenario; a pickled scenario leaves it
-    out and draws it again.
+    the frame, arrival and app mode of each of its events, drawn on first
+    use and then shared by every run of the scenario; a pickled scenario
+    leaves it out and draws it again.
     """
 
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -191,11 +191,16 @@ class SimMetrics:
 def _exogenous_trace(seed, segments):
     """The controller-independent part of a scenario's runs, drawn at once.
 
-    Returns ``(app_path, arrivals, still)``: ``app_path[f]`` is the app mode
-    during frame ``f`` (``frames + 1`` entries, starting in mode 0),
-    ``arrivals[f]`` is 1 when the application emits a packet in frame ``f``,
-    and ``still`` is the path's still-run array (:func:`_still_runs`).  All
-    three hold one byte per frame (the path for up to 256 modes).
+    Returns the run's events as ``(event_frames, arrivals, modes)``.  An
+    event is a frame in which the application emits a packet or the app
+    mode changes; every other frame is still.  For the ``i``-th event,
+    ``event_frames[i]`` is its frame, ``arrivals[i]`` is 1 when a packet
+    arrives in it, and ``modes[i]`` is the app mode after it (the run starts
+    in mode 0).  A sentinel at the run's end, frame ``frames``, with no
+    arrival, ends the three.  The frames are ``intp`` and the modes one byte
+    each up to 256 modes, so the record takes about 10 bytes an event: 1.5
+    bytes a frame in the default scenario, where about one frame in seven
+    is an event, and 10 in the worst case, where every frame is one.
     ``segments`` is a scenario's ``_segments``; only their ``app_transition``
     and ``app_packet_prob`` matter here.  The path is walked one
     ``bisect_right`` a frame, of the draw into the mode's cumulative row,
@@ -222,34 +227,14 @@ def _exogenous_trace(seed, segments):
     del draws, u_mode  # keeps one float array alive at a time, not two
 
     u_arrival = rng.random(frames)
-    arrivals = np.empty(frames, dtype=bool)
+    arrivals = np.zeros(frames + 1, dtype=bool)  # entry frames is the sentinel's
     for start, end, config in segments:
         packet_prob = np.asarray(config.app_packet_prob, dtype=float)
         arrivals[start:end] = u_arrival[start:end] < packet_prob[path[start:end]]
-    del u_arrival  # freed, as u_mode is, before the still runs are built
-    return app_path, arrivals.tobytes(), _still_runs(path, arrivals)
-
-
-def _still_runs(path, arrivals):
-    """How many still frames start at each frame, capped at 255, as bytes.
-
-    ``path`` and ``arrivals`` are the app-mode path and the boolean arrivals
-    as numpy arrays.  Frame ``f`` is still when no packet arrives in it and
-    the app mode stays, ``path[f + 1] == path[f]``.  Entry ``f`` of the
-    result counts the still frames ``f, f + 1, ...`` before the first that
-    is not; entry ``frames`` is 0.  One byte a frame, built in place by
-    doubling: after the pass with shift ``d`` each entry is its run capped
-    at ``2 d``.
-    """
-    runs = np.zeros(len(path), dtype=np.uint8)
-    np.equal(path[1:], path[:-1], out=runs[:-1].view(bool))
-    np.copyto(runs[:-1], 0, where=arrivals)
-    for shift in (1, 2, 4, 8, 16, 32, 64, 128):
-        head = runs[:-shift]
-        # The last pass adds at most 127, so no entry passes 255.
-        tail = runs[shift:] if shift < 128 else np.minimum(runs[shift:], 127)
-        np.add(head, tail, out=head, where=head == shift)
-    return runs.tobytes()
+    del u_arrival  # freed, as u_mode is, before the events are found
+    at = np.append(np.flatnonzero((path[1:] != path[:-1]) | arrivals[:-1]), frames)
+    # The sentinel's mode, clipped to the last frame's, is never read.
+    return memoryview(at), arrivals[at].tobytes(), memoryview(path.take(at + 1, mode="clip"))
 
 
 def simulate(scenario, controller):
@@ -261,11 +246,12 @@ def simulate(scenario, controller):
     and different controllers at the same seed face the same arrival/mode
     sample path.  That path (app modes and packet arrivals, under the
     schedule) is drawn once per scenario, before frame 0 of its first run,
-    and every later run of the same scenario reuses it; the frame loop then
-    walks it by iteration, only steps the modem and the queue, and calls the
-    controller's ``act`` and ``observe`` once a frame or holds the frame,
-    with flat state indices (``act``, ``observe`` and ``hold`` are looked up
-    on the controller when the run starts); ``act`` gets the state alone.
+    and every later run of the same scenario reuses its events; the frame
+    loop then walks the frames with one pointer to the next event, only
+    steps the modem and the queue, and calls the controller's ``act`` and
+    ``observe`` once a frame or holds the frame, with flat state indices
+    (``act``, ``observe`` and ``hold`` are looked up on the controller when
+    the run starts); ``act`` gets the state alone.
 
     A still frame has no arrival and no app-mode change.  After a frame that
     leaves the modem off, attaching, or connected with an empty queue, a
@@ -275,8 +261,9 @@ def simulate(scenario, controller):
     once for the number ``j`` in ``[0, k]`` it holds, which must leave the
     controller as ``j`` frames of ``act(s) -> action`` and ``observe(s,
     action, reward, s)`` would; it adds the frame's energy and reward ``j``
-    times, in order, and jumps ``j`` frames ahead.  The still-run array of
-    the scenario's record counts the still frames ahead.
+    times, in order, and jumps ``j`` frames ahead.  The still frames ahead
+    are those before the next event, ``next_event - frame`` of them, with
+    no cap: a run with no event is one ``act`` and one ``hold``.
 
     A controller keeps its state across runs (Q-table and
     epsilon, the planner's estimates and re-solve clock), so a second run
@@ -304,7 +291,7 @@ def simulate(scenario, controller):
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
     segments = scenario._segments
-    app_path, arrivals, still = scenario._trace
+    event_frames, arrivals, modes = scenario._trace
 
     frame_period = config.frame_period
     nq = config.queue_states
@@ -342,9 +329,10 @@ def simulate(scenario, controller):
     on, off, connecting, connected = ACTION_ON, M_OFF, M_CONNECTING, M_CONNECTED
     stride = N_MODEM_STATES
 
+    app = 0
     queue_len = 0
     modem = off
-    s = (app_path[0] * nq + queue_len) * stride + modem
+    s = (app * nq + queue_len) * stride + modem
     queue = deque()
     attach_frames_left = 0
 
@@ -356,10 +344,11 @@ def simulate(scenario, controller):
     latency_frames = 0
     reward_total = 0.0
 
-    # Each frame's index, arrival and next app mode, and the still frames
-    # after it.
-    stepped = zip(range(frames), arrivals, app_path[1:], memoryview(still)[1:])
-    for frame, arrived, app, ahead in stepped:
+    # The next event's frame, arrival and app mode after it.
+    events = zip(event_frames, arrivals, modes)
+    event, event_arrived, event_app = next(events)
+    frame = 0
+    while frame < frames:
         action = act(s)
 
         # Modem first: the frame is spent in the state being entered.
@@ -378,6 +367,11 @@ def simulate(scenario, controller):
             transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
 
         # Application: packet emission uses this frame's mode.
+        if frame == event:
+            arrived, app = event_arrived, event_app
+            event, event_arrived, event_app = next(events)
+        else:
+            arrived = 0
         if modem == connected:
             if arrived:
                 queue.append(frame)
@@ -414,6 +408,8 @@ def simulate(scenario, controller):
         # frame's action, which kept the modem off or on: short of an
         # attach's last frame, and unless a connected queue drains.  Their
         # reward is idle[modem] (sent[0] is idle[connected]).
+        frame += 1
+        ahead = event - frame
         if ahead and (modem != connected or not queue_len):
             if modem == connecting and ahead >= attach_frames_left:
                 ahead = attach_frames_left - 1
@@ -427,7 +423,7 @@ def simulate(scenario, controller):
                             reward_total += frame_reward
                     if modem == connecting:
                         attach_frames_left -= held
-                    next(islice(stepped, held, held), None)
+                    frame += held
 
     # A transaction still open at the end (modem not off) is counted too.
     if modem != M_OFF:

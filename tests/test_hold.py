@@ -34,7 +34,9 @@ from compactmdp import (
 from compactmdp import controllers
 from compactmdp.core import ConvergenceError
 from support import controller_state, never_holding, sticky_node
-from test_sim import REFERENCE_NODES, reference_controllers, reference_scenario
+from test_sim import (
+    REFERENCE_NODES, reference_controllers, reference_scenario, reference_trace,
+)
 
 
 def counting_holds(controller):
@@ -78,43 +80,39 @@ def maker(series, config, value, **options):
 SERIES = (("on-off", 1), ("on-off", 4), ("mdp", 3.0), ("mdp", 100.0), ("ql", 5.0))
 
 
-class TestStillRuns:
-    """The still-run array of ``Scenario._trace`` counts the still frames
-    from each frame on."""
+class TestEventRecord:
+    """``Scenario._trace`` lists the run's events, the frames with an arrival
+    or an app-mode change, as a Python loop over the per-frame path and
+    arrivals finds them, and ends them with a sentinel at the last frame."""
 
     @staticmethod
     def reference(scenario):
-        app_path, arrivals, _ = scenario._trace
+        path, arrivals = reference_trace(scenario)
         frames = scenario.duration_frames
-        runs = [0] * (frames + 1)
-        for f in reversed(range(frames)):
-            if not arrivals[f] and app_path[f + 1] == app_path[f]:
-                runs[f] = min(runs[f + 1] + 1, 255)
-        return bytes(runs)
+        events = [(f, int(arrivals[f]), path[f + 1]) for f in range(frames)
+                  if arrivals[f] or path[f + 1] != path[f]]
+        return events + [(frames, 0, path[frames])]
 
     def test_the_default_scenario_with_its_drifts(self):
         scenario = replace(load_scenario(), duration_frames=60000, seed=5)
-        still = scenario._trace[2]
-        assert type(still) is bytes and len(still) == 60001
-        assert still == self.reference(scenario)
-        assert 0 < still.count(0) < 60000
-
-    def test_runs_longer_than_the_cap_read_255(self):
-        node = NodeConfig(app_packet_prob=(0.0, 0.0), app_transition=((1.0, 0.0), (0.0, 1.0)))
-        still = Scenario(node=node, duration_frames=1000)._trace[2]
-        assert list(still) == [255] * (1000 - 254) + list(range(254, -1, -1))
+        events = list(zip(*scenario._trace))
+        assert events == self.reference(scenario)
+        assert type(scenario._trace[1]) is bytes
+        assert 0 < sum(arrived for _, arrived, _ in events) < len(events) - 1
 
     def test_a_path_of_more_than_256_modes(self):
         scenario = Scenario(node=sticky_node(257), duration_frames=3000, seed=2)
-        assert np.asarray(scenario._trace[0]).dtype == np.intp
-        assert scenario._trace[2] == self.reference(scenario)
+        event_frames, _, modes = scenario._trace
+        assert np.asarray(event_frames).dtype == np.asarray(modes).dtype == np.intp
+        assert max(modes) > 255
+        assert list(zip(*scenario._trace)) == self.reference(scenario)
 
     def test_a_pickled_scenario_leaves_it_out_and_builds_it_again(self):
         scenario = replace(load_scenario(), duration_frames=5000)
-        still = scenario._trace[2]
+        events = list(zip(*scenario._trace))
         state = scenario.__getstate__()
         assert "_trace" not in state
-        assert pickle.loads(pickle.dumps(scenario))._trace[2] == still
+        assert list(zip(*pickle.loads(pickle.dumps(scenario))._trace)) == events
 
 
 class TestEachControllersHold:
@@ -178,6 +176,15 @@ class TestHeldRunsMatchSteppedRuns:
         assert_holds_like_steps(scenario, maker(series, scenario.node, value), runs=2)
 
     @pytest.mark.parametrize("series, value", SERIES)
+    def test_still_stretches_longer_than_255_frames(self, series, value):
+        # Mode 0 rarely emits or leaves, so its still stretches run long.
+        node = NodeConfig(app_packet_prob=(0.002, 1.0),
+                          app_transition=((0.999, 0.001), (0.5, 0.5)))
+        scenario = Scenario(node=node, duration_frames=75000, seed=3)
+        held = assert_holds_like_steps(scenario, maker(series, node, value))
+        assert max(j for _, j in held.events) > 255
+
+    @pytest.mark.parametrize("series, value", SERIES)
     def test_a_non_zero_off_current(self, series, value):
         node = NodeConfig(currents_ma=(0.5, 120.0, 162.5))
         scenario = Scenario(node=node, duration_frames=20000, seed=1)
@@ -215,6 +222,12 @@ class TestHeldRunsMatchSteppedRuns:
         scenario = Scenario(node=node, duration_frames=1000)
         held = assert_holds_like_steps(scenario, maker(series, node, value, **options))
         assert held.events[-1][0] == "hold"
+
+    def test_a_run_with_no_event_is_one_act_and_one_hold(self):
+        node = NodeConfig(app_packet_prob=(0.0, 0.0), app_transition=((1.0, 0.0), (0.0, 1.0)))
+        scenario = Scenario(node=node, duration_frames=1000)
+        held = assert_holds_like_steps(scenario, lambda: ThresholdController(node, 2))
+        assert held.events == [("act", 1), ("hold", 999)]
 
     def test_held_frames_attaching_and_connected_add_their_energy(self):
         # The planner expects packets, keeps the modem on, and none come.

@@ -28,6 +28,7 @@ from compactmdp import (
     ThresholdController,
     average_power,
     crossover_period,
+    load_scenario,
     make_controller,
     pareto_sweep,
     simulate,
@@ -294,7 +295,8 @@ class TestRewardOwner:
 
 
 def reference_simulate(scenario, controller):
-    """The reference frame loop: it indexes the trace twice a frame and
+    """The reference frame loop: it draws the app-mode path and the arrivals
+    frame by frame (:func:`reference_trace`), indexes them twice a frame and
     evaluates the reward expression every frame.  ``simulate`` must give its
     runs bit for bit."""
     config = scenario.node
@@ -309,7 +311,7 @@ def reference_simulate(scenario, controller):
             f"the scenario's node has {config.n_states} ({config.n_app_modes} x "
             f"{config.queue_states}) in {config.frame_period} s frames"
         )
-    app_path, arrivals, _ = scenario._trace
+    app_path, arrivals = reference_trace(scenario)
 
     frame_period = config.frame_period
     nq = config.queue_states
@@ -319,14 +321,9 @@ def reference_simulate(scenario, controller):
     w_current, w_tx, w_drop = built.reward_weights
     amps = [c * 1e-3 for c in config.currents_ma]
     frame_energy = [a * SUPPLY_VOLTS * frame_period for a in amps]
-    # Attach length in frames for the connect_time in force at each step,
-    # read from the schedule itself.
-    steps = [(0, config.connect_time)]
-    for change in sorted(scenario.schedule, key=lambda change: change.time):
-        connect_time = change.value if change.parameter == "connect_time" else steps[-1][1]
-        steps.append((floor_frames(change.time, frame_period), connect_time))
-    step_frames = [at for at, _ in steps]
-    attach_lengths = [floor_frames(t, frame_period) for _, t in steps]
+    # Attach length in frames for the connect_time in force at each step.
+    step_frames, connect_times = reference_steps(scenario, "connect_time")
+    attach_lengths = [floor_frames(t, frame_period) for t in connect_times]
     act = controller.act
     observe = controller.observe
     solves_before = getattr(controller, "solve_count", 0)
@@ -406,7 +403,7 @@ def reference_simulate(scenario, controller):
     )
     return SimMetrics(
         frames=frames,
-        packets_generated=arrivals.count(1),
+        packets_generated=sum(arrivals),
         packets_transmitted=transmitted,
         packets_dropped=dropped,
         packets_queued_at_end=queue_len,
@@ -771,25 +768,61 @@ class TestSweep:
         assert controller.epsilon_decay == DEFAULT_EPSILON_DECAY
 
 
+def reference_steps(scenario, parameter):
+    """``(starts, values)``: the first frame of each step of ``scenario``'s
+    schedule and the value of ``parameter`` in force from it, read from the
+    schedule itself."""
+    node = scenario.node
+    starts, values = [0], [getattr(node, parameter)]
+    for change in sorted(scenario.schedule, key=lambda change: change.time):
+        starts.append(floor_frames(change.time, node.frame_period))
+        values.append(change.value if change.parameter == parameter else values[-1])
+    return starts, values
+
+
 def reference_app_path(scenario):
     """The app-mode path of ``scenario``, one ``np.searchsorted`` a frame of
     its draw in the cumulative row, by the ``app_transition`` the schedule
     has in force, of the mode the frame leaves."""
-    node, frames = scenario.node, scenario.duration_frames
-    steps = [(0, node.app_transition)]
-    for change in sorted(scenario.schedule, key=lambda change: change.time):
-        sigma = change.value if change.parameter == "app_transition" else steps[-1][1]
-        steps.append((floor_frames(change.time, node.frame_period), sigma))
-    starts, cumulative = [at for at, _ in steps], []
-    for _, sigma in steps:
+    starts, sigmas = reference_steps(scenario, "app_transition")
+    cumulative = []
+    for sigma in sigmas:
         rows = np.cumsum(np.asarray(sigma, dtype=float), axis=1)
         rows[:, -1] = np.inf
         cumulative.append(rows)
-    draws = np.random.default_rng(scenario.seed).random(frames)
+    draws = np.random.default_rng(scenario.seed).random(scenario.duration_frames)
     path = [0]
-    for frame in range(frames):
+    for frame, draw in enumerate(draws):
         rows = cumulative[bisect_right(starts, frame) - 1]
-        path.append(int(np.searchsorted(rows[path[-1]], draws[frame], side="right")))
+        path.append(int(np.searchsorted(rows[path[-1]], draw, side="right")))
+    return path
+
+
+def reference_trace(scenario):
+    """``(path, arrivals)``: the app-mode path (:func:`reference_app_path`)
+    and, frame by frame, whether a packet arrives, which it does when the
+    frame's second draw of the seed is below the packet probability of the
+    frame's mode by the ``app_packet_prob`` in force."""
+    path = reference_app_path(scenario)
+    starts, probs = reference_steps(scenario, "app_packet_prob")
+    rng = np.random.default_rng(scenario.seed)
+    rng.random(scenario.duration_frames)
+    draws = rng.random(scenario.duration_frames)
+    arrivals = [
+        bool(draw < probs[bisect_right(starts, frame) - 1][path[frame]])
+        for frame, draw in enumerate(draws.tolist())
+    ]
+    return path, arrivals
+
+
+def record_path(scenario):
+    """The per-frame app-mode path that the events of ``scenario._trace``
+    imply: each event's mode from the frame after it on."""
+    event_frames, _, modes = scenario._trace
+    after = dict(zip(event_frames, modes))
+    path = [0]
+    for frame in range(scenario.duration_frames):
+        path.append(after.get(frame, path[-1]))
     return path
 
 
@@ -859,24 +892,36 @@ class TestSharedTrace:
     @pytest.mark.parametrize("name", sorted(PATH_SCENARIOS))
     def test_the_app_path_is_a_per_frame_search(self, name):
         scenario = PATH_SCENARIOS[name]
-        app_path = scenario._trace[0]
         expected = reference_app_path(scenario)
-        assert app_path.tolist() == expected
+        assert record_path(scenario) == expected
         assert len(set(expected)) > 2
+
+    @staticmethod
+    def record_bytes(scenario):
+        """``(retained, peak)``: the bytes ``tracemalloc`` sees while
+        ``scenario._trace`` is built, after a 100-frame build of its node."""
+        Scenario(node=scenario.node, duration_frames=100)._trace
+        tracemalloc.start()
+        try:
+            scenario._trace
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
     def test_a_record_is_built_in_few_bytes_a_frame(self):
         """No stage of the build grows with the mode count: at 64 modes the
         peak stays under 40 bytes a frame, the record included."""
-        node, frames = sticky_node(64), 50000
-        Scenario(node=node, duration_frames=100)._trace
-        scenario = Scenario(node=node, duration_frames=frames, seed=1)
-        tracemalloc.start()
-        try:
-            scenario._trace
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        frames = 50000
+        scenario = Scenario(node=sticky_node(64), duration_frames=frames, seed=1)
+        _, peak = self.record_bytes(scenario)
         assert peak < 40 * frames
+
+    def test_the_record_keeps_events_not_frames(self):
+        """About one frame in seven is an event in the default scenario,
+        and its record of them retains under 2 bytes a frame."""
+        frames = 270000
+        retained, _ = self.record_bytes(replace(load_scenario(), duration_frames=frames))
+        assert retained < 2 * frames
 
 
 class TestPowerModel:
