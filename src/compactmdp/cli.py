@@ -19,15 +19,13 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import ConfigError, load_scenario
+from .config import duration_frames, load_scenario
 from .controllers import (
     DEFAULT_ALPHA, DEFAULT_EPSILON, DEFAULT_EPSILON_DECAY, DEFAULT_SOLVE_PERIOD,
     QLearningController, StructuredController,
 )
 from .core import ConvergenceError
-from .node import (
-    ACTION_ON, N_ACTIONS, N_MODEM_STATES, assemble_stm, build_mdp, floor_frames,
-)
+from .node import ACTION_ON, N_ACTIONS, N_MODEM_STATES, assemble_stm, build_mdp
 from .sim import (
     DEFAULT_SEEDS,
     NQ_SWEEP,
@@ -86,7 +84,7 @@ def _run_inputs(args):
     """The scenario and the controller options that the shared run options give."""
     scenario = load_scenario(args.config)
     if args.duration is not None:
-        frames = floor_frames(args.duration, scenario.node.frame_period)
+        frames = duration_frames(args.duration, scenario.node.frame_period)
         scenario = replace(scenario, duration_frames=frames)
     options = dict(alpha=args.alpha, epsilon=args.epsilon, solve_period=args.solve_period,
                    epsilon_decay=args.epsilon_decay)
@@ -309,7 +307,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConvergenceError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

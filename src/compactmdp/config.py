@@ -46,6 +46,14 @@ def _on_line(lineno):
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
+def duration_frames(seconds, frame_period):
+    """The whole frames of a run ``seconds`` long, refusing one shorter than a frame."""
+    frames = floor_frames(seconds, frame_period)
+    if frames < 1:
+        raise ValueError(f"duration {seconds} is shorter than one frame")
+    return frames
+
+
 def _parse_value(key, text, sample=None):
     """``text`` read as a value of ``key``, shaped like ``sample`` (its default)."""
     if sample is None:
@@ -126,9 +134,7 @@ def parse_scenario(text):
     if duration is not None:
         lineno, seconds = duration
         with _on_line(lineno):
-            frames = floor_frames(seconds, node.frame_period)
-            if frames < 1:
-                raise ValueError(f"duration {seconds} is shorter than one frame")
+            frames = duration_frames(seconds, node.frame_period)
     schedule = tuple(change for _, change in changes)
     try:
         return replace(scenario, node=node, duration_frames=frames, schedule=schedule)

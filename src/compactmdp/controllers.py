@@ -131,8 +131,7 @@ class ParameterEstimates:
 
     Both start at the design-time priors of ``config`` (valid by
     construction), whose ``frame_period`` is the unit of every measured
-    duration; only ``alpha`` is checked here, and it is fixed from then on:
-    its complement ``1 - alpha`` is taken once.
+    duration; only ``alpha`` is checked here, and it is fixed from then on.
 
     An observed app-mode transition is only logged, as one small integer;
     :meth:`fold` blends the log into the matrix with
@@ -149,7 +148,6 @@ class ParameterEstimates:
         self._transitions = array(_transition_typecode(self.n_modes))
         self.connect_time_hat = config.connect_time
         self.alpha = alpha
-        self._keep = 1.0 - alpha
         self.frame_period = config.frame_period
 
     @property
@@ -185,7 +183,7 @@ class ParameterEstimates:
             raise ValueError(f"attach duration {seconds} is not finite")
         if seconds < self.frame_period:
             raise ValueError(f"attach duration {seconds} shorter than one frame")
-        blended = self.connect_time_hat * self._keep + seconds * self.alpha
+        blended = self.connect_time_hat * (1.0 - self.alpha) + seconds * self.alpha
         self.connect_time_hat = max(blended, self.frame_period)
 
     def rho(self):
@@ -398,8 +396,7 @@ class QLearningController:
         i = action * n + s
         old = q[i]
         q[i] = old + self.alpha * (reward + self._discount * best_next - old)
-        if self.epsilon_decay < 1.0:
-            self.epsilon *= self.epsilon_decay
+        self.epsilon *= self.epsilon_decay
 
     def hold(self, s, action, reward, k):
         """Run ``observe``'s update once a held frame, up to the first frame
@@ -425,8 +422,7 @@ class QLearningController:
             # best successor value is q[i] itself.
             old = q[i]
             q[i] = old + alpha * (reward + discount * old - old)
-            if decay < 1.0:
-                epsilon *= decay
+            epsilon *= decay
             held += 1
             if (q[on] > q[s]) != action:
                 break

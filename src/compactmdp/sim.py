@@ -275,8 +275,11 @@ def simulate(scenario, controller):
     The loop reads the reward from a table built before frame 0 with the
     frame-reward expression, ``w_current * amps[modem] + w_tx * n_tx +
     w_drop * n_drop``, so its bits are those of evaluating it every frame.
-    An attach takes the frames of the ``connect_time`` in force, by the
-    scenario's ``_segments``, in the frame it starts.
+    An attach started in frame ``f`` completes in frame ``f + N``, where
+    ``N`` is the frames of the ``connect_time`` in force in frame ``f``, by
+    the scenario's ``_segments``.  Each attach is one transaction, counted
+    when it starts and charged, by the affine model, for the packets sent
+    from then until the modem goes off or the run ends.
     """
     config = scenario.node
     frames = scenario.duration_frames
@@ -334,9 +337,9 @@ def simulate(scenario, controller):
     modem = off
     s = (app * nq + queue_len) * stride + modem
     queue = deque()
-    attach_frames_left = 0
+    # The frame an attach completes in, and the packets sent before it started.
+    attach_end = tx_mark = 0
 
-    transaction_packets = 0
     transactions = 0
     transaction_energy = 0.0
     current_energy = 0.0
@@ -355,16 +358,14 @@ def simulate(scenario, controller):
         if action == on:
             if modem == off:
                 modem = connecting
-                attach_frames_left = attach_lengths[bisect_right(step_frames, frame) - 1]
-                transaction_packets = 0
-            elif modem == connecting:
-                attach_frames_left -= 1
-                if attach_frames_left == 0:
-                    modem = connected
+                attach_end = frame + attach_lengths[bisect_right(step_frames, frame) - 1]
+                tx_mark = transmitted
+                transactions += 1
+            elif modem == connecting and frame == attach_end:
+                modem = connected
         elif modem != off:
             modem = off
-            transactions += 1
-            transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
+            transaction_energy += energy_per_transaction(transmitted - tx_mark, c1, c2)
 
         # Application: packet emission uses this frame's mode.
         if frame == event:
@@ -376,16 +377,12 @@ def simulate(scenario, controller):
             if arrived:
                 queue.append(frame)
                 queue_len += 1
-            if queue_len:
-                n_tx = min(queue_len, tx_per_frame)
-                for _ in range(n_tx):
-                    latency_frames += frame - queue.popleft()
-                queue_len -= n_tx
-                transmitted += n_tx
-                transaction_packets += n_tx
-                frame_reward = sent[n_tx]
-            else:
-                frame_reward = sent[0]
+            n_tx = min(queue_len, tx_per_frame)
+            for _ in range(n_tx):
+                latency_frames += frame - queue.popleft()
+            queue_len -= n_tx
+            transmitted += n_tx
+            frame_reward = sent[n_tx]
         elif arrived:
             if queue_len < cap:
                 queue.append(frame)
@@ -411,8 +408,8 @@ def simulate(scenario, controller):
         frame += 1
         ahead = event - frame
         if ahead and (modem != connected or not queue_len):
-            if modem == connecting and ahead >= attach_frames_left:
-                ahead = attach_frames_left - 1
+            if modem == connecting and ahead > attach_end - frame:
+                ahead = attach_end - frame
             if ahead:
                 held = hold(s, action, idle[modem], ahead)
                 if held:
@@ -421,14 +418,11 @@ def simulate(scenario, controller):
                         for _ in range(held):
                             current_energy += energy
                             reward_total += frame_reward
-                    if modem == connecting:
-                        attach_frames_left -= held
                     frame += held
 
-    # A transaction still open at the end (modem not off) is counted too.
-    if modem != M_OFF:
-        transactions += 1
-        transaction_energy += energy_per_transaction(transaction_packets, c1, c2)
+    # A transaction still open at the end (modem not off) is charged too.
+    if modem != off:
+        transaction_energy += energy_per_transaction(transmitted - tx_mark, c1, c2)
 
     avg_latency = (
         latency_frames * frame_period / transmitted if transmitted else float("nan")

@@ -391,6 +391,18 @@ class TestErrorHandling:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_a_run_shorter_than_one_frame_is_named_as_one(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, "--duration", "0.05")
+        assert (code, out) == (1, "")
+        assert err == "error: duration 0.05 is shorter than one frame\n"
+        # A scenario file's duration gets the same text, with its line.
+        short = tmp_path / "short.cfg"
+        short.write_text("duration = 0.05\n")
+        code, out, err = run_cli(capsys, command, "--config", str(short))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: duration 0.05 is shorter than one frame\n"
+
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

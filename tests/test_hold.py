@@ -36,6 +36,7 @@ from compactmdp.core import ConvergenceError
 from support import controller_state, never_holding, sticky_node
 from test_sim import (
     REFERENCE_NODES, reference_controllers, reference_scenario, reference_trace,
+    straddling_attach_scenario,
 )
 
 
@@ -205,6 +206,26 @@ class TestHeldRunsMatchSteppedRuns:
             scenario, maker(series, node, value, solve_period=123.0))
         if series == "mdp":
             assert held.solve_count == 2000 // 123 + 1
+
+    @pytest.mark.parametrize("series, value", SERIES)
+    def test_one_frame_attaches(self, series, value):
+        # connect_time == frame_period: an attach completes in the frame
+        # after the one it starts in, so no attaching frame is held.
+        node = NodeConfig(connect_time=0.1)
+        scenario = Scenario(node=node, duration_frames=20000, seed=5)
+        held = assert_holds_like_steps(scenario, maker(series, node, value))
+        modems = {s % 3 for s, *_ in held.calls}
+        assert M_CONNECTED in modems and M_CONNECTING not in modems
+
+    @pytest.mark.parametrize("series, value", SERIES)
+    def test_an_attach_that_straddles_a_connect_time_change(self, series, value):
+        scenario = straddling_attach_scenario(2000)
+        held = assert_holds_like_steps(scenario, maker(series, scenario.node, value))
+        if (series, value) == ("mdp", 100.0):
+            # Frame 0 starts a 2 s attach, frames 1-19 are held across the
+            # change to 0.5 s attaches in frame 10, and frame 20 completes it.
+            assert held.events[:3] == [("act", 1), ("hold", 19), ("act", 1)]
+            assert held.calls[0][0] % 3 == M_CONNECTING
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_NODES))
     def test_the_reference_nodes(self, name):

@@ -441,8 +441,10 @@ class RecordingProxy(NeverHolds):
 #: Nodes whose runs reach every frame outcome the reward table holds: a
 #: 2-packet queue (so arrivals are dropped), one and three transmissions per
 #: frame, and a zero packet reward with the 0 mA off current (each frame's
-#: reward a signed zero sum).
+#: reward a signed zero sum).  ``attach1`` attaches in one frame
+#: (``connect_time == frame_period``) until the schedule's first change.
 REFERENCE_NODES = {
+    "attach1": NodeConfig(queue_states=3, connect_time=0.1, app_packet_prob=(0.1, 0.7)),
     "tx1": NodeConfig(queue_states=3, tx_per_frame=1, app_packet_prob=(0.1, 0.7)),
     "tx3": NodeConfig(queue_states=3, tx_per_frame=3, app_packet_prob=(0.1, 0.9)),
     "zero": NodeConfig(queue_states=3, reward_weights=(-10.0, 0.0, -100.0)),
@@ -458,6 +460,14 @@ def reference_scenario(config):
         ScheduleChange(1500.0, "connect_time", 0.5),
     )
     return Scenario(node=config, duration_frames=24000, seed=11, schedule=schedule)
+
+
+def straddling_attach_scenario(frames):
+    """No arrivals, and 2 s attaches until 1.0 s (frame 10), 0.5 s ones
+    from then on: an attach started in frame 0 straddles the change."""
+    schedule = (ScheduleChange(0.0, "app_packet_prob", (0.0, 0.0)),
+                ScheduleChange(1.0, "connect_time", 0.5))
+    return Scenario(duration_frames=frames, schedule=schedule)
 
 
 def reference_controllers(config):
@@ -547,6 +557,17 @@ class TestSchedule:
         base = run(ThresholdController(NodeConfig(), 1), frames=20000)
         stepped = run(ThresholdController(NodeConfig(), 1), frames=20000, schedule=(slow,))
         assert stepped.avg_latency > base.avg_latency
+
+    def test_an_attach_keeps_the_length_in_force_when_it_started(self):
+        scenario = straddling_attach_scenario(60)
+        always_on = RecordingProxy(AlwaysOnController(scenario.node))
+        metrics = simulate(scenario, always_on)
+        modems = [s_next % N_MODEM_STATES for *_, s_next in always_on.seen]
+        # The 2 s attach started in frame 0 completes in frame 20, not 10.
+        assert modems == [M_CONNECTING] * 20 + [M_CONNECTED] * 40
+        assert metrics.transactions == 1
+        expected = reference_simulate(scenario, AlwaysOnController(scenario.node))
+        assert repr(metrics) == repr(expected)
 
     @pytest.mark.parametrize(
         "change, problem",
